@@ -139,25 +139,6 @@ def _r_mode_batch(a: float, bprime: np.ndarray, p_cond: float,
     return r
 
 
-def _jacobi_precond(blur: BlurOperator, diff: DiffOperator, ratio: float,
-                    weights: np.ndarray):
-    diag = blur.gram_diag() + ratio * diff.weighted_gram_diag(weights)
-    return lambda v: v / diag
-
-
-def _make_precond(kind: str, blur: BlurOperator, diff: DiffOperator,
-                  ratio: float, weights: np.ndarray):
-    """Jacobi handles the system diagonal; the circulant preconditioner is
-    the exact inverse at the mean difference weight and converges much
-    faster on TV-sharpened systems."""
-    if kind == "jacobi":
-        return _jacobi_precond(blur, diff, ratio, weights)
-    if kind == "circulant":
-        return circulant_gram_precond(blur, diff, ratio,
-                                      float(np.mean(weights)))
-    raise ValueError(f"unknown preconditioner {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # IAS (MAP)
 # ---------------------------------------------------------------------------
@@ -168,7 +149,6 @@ class IasOptions:
     maxit: int = 200
     pcg_tol: float = 1e-8
     pcg_maxit: int | None = None
-    precond: str = "circulant"
     init: LatentState | None = None
     record_substeps: bool = False
 
@@ -225,8 +205,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
             lambda v: weighted_gram_matvec(model.blur, model.diff, ratio,
                                            weights, v),
             hty,
-            precond=_make_precond(opts.precond, model.blur, model.diff, ratio,
-                                  weights),
+            precond=circulant_gram_precond(model.blur, model.diff, ratio,
+                                           float(np.mean(weights))),
             tol=opts.pcg_tol, maxit=opts.pcg_maxit, x0=x_prev)
         x = sol.x
         step_logs = []

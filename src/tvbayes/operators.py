@@ -8,7 +8,12 @@ directions.
 The difference operator D stacks a horizontal block (x[i, j+1] - x[i, j])
 over a vertical block (x[i+1, j] - x[i, j]); a block whose lattice
 dimension is 1 would be identically zero and is dropped, so a 1-D signal
-gets the plain circulant first-difference matrix.
+gets the plain circulant first-difference matrix. D and D' are applied as
+periodic shifted differences on the grid; the +1/-1 column indices of each
+row are kept for the dense paths.
+
+The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
+is the real |H^|^2, and H'H v costs one FFT round trip.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ class DiffOperator:
 
     Each row has one +1 and one -1 entry; the row set is the horizontal
     block followed by the vertical block. Sparse storage is two index
-    arrays (``pos_idx``, ``neg_idx``) per row.
+    arrays (``pos_idx``, ``neg_idx``) per row, used by the dense paths;
+    ``matvec`` and ``rmatvec`` work on the grid instead.
     """
 
     def __init__(self, lattice: LatticeSpec):
@@ -114,13 +120,33 @@ class DiffOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return x[self.pos_idx] - x[self.neg_idx]
+        k, n = self.lattice.k, self.lattice.n
+        out = np.empty((self.n_blocks, self.lattice.size))
+        if "h" in self.blocks:  # pixel (i, j+1) is k places on in the stack
+            h = out[0]
+            np.subtract(x[k:], x[:-k], out=h[:-k])
+            np.subtract(x[:k], x[-k:], out=h[-k:])
+        if "v" in self.blocks:  # row i+1 wraps within each stacked column
+            g, v = x.reshape(n, k), out[-1].reshape(n, k)
+            np.subtract(g[:, 1:], g[:, :-1], out=v[:, :-1])
+            np.subtract(g[:, :1], g[:, -1:], out=v[:, -1:])
+        return out.ravel()
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        N = self.lattice.size
-        return (np.bincount(self.pos_idx, weights=w, minlength=N)
-                - np.bincount(self.neg_idx, weights=w, minlength=N))
+        k, n, N = self.lattice.k, self.lattice.n, self.lattice.size
+        w = np.asarray(w, dtype=float).reshape(self.n_blocks, N)
+        # a pixel is the +1 entry of the row one step back in each block and
+        # the -1 entry of its own row
+        pos = np.zeros(N)
+        if "h" in self.blocks:
+            h = w[0]
+            pos[k:] += h[:-k]
+            pos[:k] += h[-k:]
+        if "v" in self.blocks:
+            g, p = w[-1].reshape(n, k), pos.reshape(n, k)
+            p[:, 1:] += g[:, :-1]
+            p[:, :1] += g[:, -1:]
+        return pos - w.sum(axis=0)
 
     def weighted_gram_diag(self, row_weights: np.ndarray) -> np.ndarray:
         """diag(D' W D) for W = diag(row_weights)."""
@@ -206,6 +232,7 @@ class BlurOperator:
     lattice: LatticeSpec
     _fwd: np.ndarray = field(init=False, repr=False)
     _adj: np.ndarray = field(init=False, repr=False)
+    _gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.kernel, dtype=float)
@@ -226,6 +253,7 @@ class BlurOperator:
         freq = np.fft.rfft2(pad)
         self._adj = freq            # multiplier of convolution with w
         self._fwd = np.conj(freq)   # correlation with w
+        self._gram = np.abs(freq) ** 2  # H'H, real
 
     @property
     def size(self) -> int:
@@ -247,6 +275,13 @@ class BlurOperator:
         if x.shape != (self.size,):
             raise ValueError(f"expected stacked vector of length {self.size}")
         return self._apply(x, self._adj)
+
+    def gram_matvec(self, x: np.ndarray) -> np.ndarray:
+        """H'H x in one FFT round trip."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.size,):
+            raise ValueError(f"expected stacked vector of length {self.size}")
+        return self._apply(x, self._gram)
 
     def gram_diag(self) -> float:
         """Common diagonal entry of H'H (columns share the norm by shift
@@ -276,19 +311,22 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
                          v: np.ndarray) -> np.ndarray:
     """(H'H + (lambda/nu) D' W D) v without forming the matrix.
 
-    ``row_weights`` is the diagonal of W = R^{-2}, one entry per difference
-    row; zero entries are allowed (a safeguarded prior keeps them finite).
+    H'H is applied as its circulant multiplier |H^|^2 (one FFT round trip),
+    D and D' as grid stencils. ``row_weights`` is the diagonal of
+    W = R^{-2}, one entry per difference row; zero entries are allowed (a
+    safeguarded prior keeps them finite).
     """
     row_weights = np.asarray(row_weights, dtype=float)
-    if not np.all(np.isfinite(row_weights)) or np.any(row_weights < 0):
+    # NaN fails both comparisons, since min and max propagate it
+    if not (row_weights.min() >= 0 and row_weights.max() < np.inf):
         raise NonFiniteError("difference row weights must be finite and >= 0",
                              where="row_weights")
     if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
         raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
                              where="lam_over_nu")
-    out = blur.rmatvec(blur.matvec(v))
+    out = blur.gram_matvec(v)
     if lam_over_nu != 0.0:
-        out = out + lam_over_nu * diff.rmatvec(row_weights * diff.matvec(v))
+        out += lam_over_nu * diff.rmatvec(row_weights * diff.matvec(v))
     return out
 
 
@@ -310,7 +348,7 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     block-circulant, so it diagonalises on the Fourier grid. Used as a
     preconditioner for the true variable-weight system.
     """
-    eig = (np.abs(blur._fwd) ** 2
+    eig = (blur._gram
            + lam_over_nu * mean_weight * diff.gram_eigenvalues())
     eig = np.maximum(eig, 1e-300)
     lattice = blur.lattice

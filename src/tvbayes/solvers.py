@@ -61,8 +61,8 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             raise PcgError(f"CG breakdown at iteration {it}: p'Qp = {pqp}",
                            best=best_x, iterations=it, residual=best_res)
         alpha = rz / pqp
-        x = x + alpha * p
-        r = r - alpha * qp
+        x += alpha * p
+        r -= alpha * qp
         res = float(np.linalg.norm(r)) / rhs_norm
         if not np.isfinite(res):
             raise PcgError(f"CG produced non-finite residual at iteration {it}",
@@ -73,7 +73,8 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             return PcgResult(x, it, res)
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise PcgError(
         f"CG did not reach tol={tol} in {maxit} iterations "

@@ -19,6 +19,10 @@ from tvbayes.operators import (
 )
 
 
+# 1-D row and column signals, a non-square grid and a square one
+LATTICES = [(1, 17), (5, 1), (3, 4), (6, 6)]
+
+
 def dense_from_matvec(op_matvec, n):
     """Oracle: assemble a dense matrix column by column."""
     cols = []
@@ -122,6 +126,31 @@ class TestDiffOperator:
         w = rng.normal(size=18)
         np.testing.assert_allclose(d.rmatvec(w), dm.T @ w, atol=1e-13)
 
+    @pytest.mark.parametrize("k,n", LATTICES)
+    def test_stencils_match_dense(self, k, n):
+        d = build_diff_operator(LatticeSpec(k, n))
+        dm = d.to_dense()
+        rng = np.random.default_rng(13)
+        x, w = rng.normal(size=d.lattice.size), rng.normal(size=d.n_rows)
+        np.testing.assert_allclose(d.matvec(x), dm @ x, atol=1e-13)
+        np.testing.assert_allclose(d.rmatvec(w), dm.T @ w, atol=1e-13)
+        assert float(d.matvec(x) @ w) == pytest.approx(
+            float(x @ d.rmatvec(w)), abs=1e-12)
+
+    @pytest.mark.parametrize("k,n", LATTICES)
+    def test_stencils_equal_index_form(self, k, n):
+        # the same arithmetic as gathering and scattering by the row indices
+        d = build_diff_operator(LatticeSpec(k, n))
+        N = d.lattice.size
+        rng = np.random.default_rng(14)
+        x, w = rng.normal(size=N), rng.normal(size=d.n_rows)
+        np.testing.assert_array_equal(d.matvec(x),
+                                      x[d.pos_idx] - x[d.neg_idx])
+        np.testing.assert_array_equal(
+            d.rmatvec(w),
+            np.bincount(d.pos_idx, weights=w, minlength=N)
+            - np.bincount(d.neg_idx, weights=w, minlength=N))
+
     def test_weighted_gram_diag(self):
         d = build_diff_operator(LatticeSpec(3, 4))
         rng = np.random.default_rng(3)
@@ -214,6 +243,18 @@ class TestBlurOperator:
         v = rng.normal(size=20)
         np.testing.assert_allclose(h.rmatvec(v), dense.T @ v, atol=1e-12)
 
+    @pytest.mark.parametrize("k,n,size", [(1, 17, 5), (5, 1, 7), (3, 4, 5),
+                                          (6, 6, 3)])
+    def test_gram_matvec_is_two_passes(self, k, n, size):
+        # (5, 1, 7) and (3, 4, 5) alias the kernel by periodic wrap
+        lat = LatticeSpec(k, n)
+        h = BlurOperator(gaussian_kernel(size, size / 4.0), lat)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            v = rng.normal(size=lat.size)
+            np.testing.assert_allclose(h.gram_matvec(v), h.rmatvec(h.matvec(v)),
+                                       atol=1e-13)
+
     def test_gram_diag(self):
         h = BlurOperator(gaussian_kernel(3, 0.7), LatticeSpec(4, 4))
         dense = h.to_dense()
@@ -279,6 +320,11 @@ class TestWeightedGram:
         h, d, lat = self._ops()
         with pytest.raises(NonFiniteError):
             weighted_gram_matvec(h, d, 1.0, np.full(32, np.nan), np.ones(16))
+        for bad in (np.inf, -np.inf, -1e-3):
+            w = np.ones(32)
+            w[5] = bad
+            with pytest.raises(NonFiniteError):
+                weighted_gram_matvec(h, d, 1.0, w, np.ones(16))
         with pytest.raises(NonFiniteError):
             weighted_gram_matvec(h, d, np.inf, np.ones(32), np.ones(16))
 

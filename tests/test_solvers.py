@@ -66,6 +66,21 @@ class TestPcg:
         res = pcg_solve(lambda v: a @ v, rhs, tol=1e-10, x0=xstar)
         assert res.iterations <= 1
 
+    @pytest.mark.parametrize("precond", [None, "jacobi"])
+    def test_inputs_untouched(self, precond):
+        # with precond=None the preconditioned residual is the residual
+        # itself, so the in-place updates must not reach the caller's arrays
+        rng = np.random.default_rng(4)
+        a = random_spd(12, rng)
+        rhs, x0 = rng.normal(size=12), rng.normal(size=12)
+        rhs_in, x0_in = rhs.copy(), x0.copy()
+        pre = None if precond is None else (lambda r: r / np.diag(a))
+        res = pcg_solve(lambda v: a @ v, rhs, precond=pre, tol=1e-10, x0=x0)
+        np.testing.assert_array_equal(rhs, rhs_in)
+        np.testing.assert_array_equal(x0, x0_in)
+        assert res.x is not x0
+        np.testing.assert_allclose(res.x, np.linalg.solve(a, rhs), atol=1e-8)
+
 
 class TestSpdFactor:
     def test_identity_inverse(self):
