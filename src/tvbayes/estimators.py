@@ -170,6 +170,31 @@ class IasState:
         return LatentState(self.x.copy(), self.nu, self.lam, self.r.copy())
 
 
+def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
+                weights: np.ndarray, rhs: np.ndarray, tol: float,
+                maxit: int | None, x0: np.ndarray | None) -> np.ndarray:
+    """Solve (H'H + ratio D' W D) x = rhs by CG with the circulant
+    preconditioner at the mean weight.
+
+    The solve owns one set of work arrays, made here and freed on return:
+    the spectrum and the N-vector result are shared by the gram apply and
+    the preconditioner (PCG uses each result before the next call), plus
+    the difference rows and the penalty accumulator of the gram apply.
+    """
+    spec = np.empty(blur.lattice.rfft_shape, dtype=complex)
+    rows = np.empty(diff.n_rows)
+    acc, out = np.empty(blur.size), np.empty(blur.size)
+    sol = pcg_solve(
+        lambda v: weighted_gram_matvec(blur, diff, ratio, weights, v, out,
+                                       spec=spec, rows=rows, acc=acc),
+        rhs,
+        precond=circulant_gram_precond(blur, diff, ratio,
+                                       float(np.mean(weights)),
+                                       spec=spec, out=out),
+        tol=tol, maxit=maxit, x0=x0)
+    return sol.x
+
+
 def ias_run(y: np.ndarray, model: ModelSpec,
             opts: IasOptions | None = None) -> IasState:
     """Iterative alternating-sequential maximisation of the joint posterior.
@@ -200,15 +225,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         iterations = it
         x_prev = x
         weights = row_weights_from_r(r, model)
-        ratio = lam / nu
-        sol = pcg_solve(
-            lambda v: weighted_gram_matvec(model.blur, model.diff, ratio,
-                                           weights, v),
-            hty,
-            precond=circulant_gram_precond(model.blur, model.diff, ratio,
-                                           float(np.mean(weights))),
-            tol=opts.pcg_tol, maxit=opts.pcg_maxit, x0=x_prev)
-        x = sol.x
+        x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
+                        opts.pcg_tol, opts.pcg_maxit, x_prev)
         step_logs = []
         if opts.record_substeps:
             step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
@@ -491,10 +509,5 @@ def tikhonov_baseline(y: np.ndarray, blur: BlurOperator, diff: DiffOperator,
     if not delta > 0:
         raise ValueError(f"tikhonov delta must be > 0, got {delta}")
     y = np.asarray(y, dtype=float)
-    ones = np.ones(diff.n_rows)
-    sol = pcg_solve(
-        lambda v: weighted_gram_matvec(blur, diff, delta, ones, v),
-        blur.rmatvec(y),
-        precond=circulant_gram_precond(blur, diff, delta, 1.0),
-        tol=tol, maxit=maxit)
-    return sol.x
+    return _gram_solve(blur, diff, delta, np.ones(diff.n_rows),
+                       blur.rmatvec(y), tol, maxit, None)

@@ -14,6 +14,15 @@ row are kept for the dense paths.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip.
+
+Buffers: ``BlurOperator.gram_matvec``, ``DiffOperator.matvec``/``rmatvec``,
+``weighted_gram_matvec`` and the ``circulant_gram_precond`` apply take their
+work and result arrays from the caller (``out``, ``spec``, ``rows``,
+``acc``), numpy style, and allocate the ones not given. The operators keep
+none: a CG solve owns one set for its whole run (``estimators._gram_solve``),
+so the arrays are freed when the solve ends rather than held while the
+caller goes on. Each such call overwrites its buffers, so a result written
+into one is valid until the next call that is given it.
 """
 
 from __future__ import annotations
@@ -67,6 +76,11 @@ class LatticeSpec:
     def size(self) -> int:
         return self.k * self.n
 
+    @property
+    def rfft_shape(self) -> tuple[int, int]:
+        """Shape of the rfft2 spectrum of a k x n grid."""
+        return self.k, self.n // 2 + 1
+
     def index(self, i: int, j: int) -> int:
         """Stacked index of pixel (row i, column j), 0-based."""
         return (j % self.n) * self.k + (i % self.k)
@@ -118,41 +132,44 @@ class DiffOperator:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D x, written into ``out`` (length ``n_rows``) when given."""
         x = np.asarray(x, dtype=float)
         k, n = self.lattice.k, self.lattice.n
-        out = np.empty((self.n_blocks, self.lattice.size))
+        if out is None:
+            out = np.empty(self.n_rows)
+        rows = out.reshape(self.n_blocks, self.lattice.size)
         if "h" in self.blocks:  # pixel (i, j+1) is k places on in the stack
-            h = out[0]
+            h = rows[0]
             np.subtract(x[k:], x[:-k], out=h[:-k])
             np.subtract(x[:k], x[-k:], out=h[-k:])
         if "v" in self.blocks:  # row i+1 wraps within each stacked column
-            g, v = x.reshape(n, k), out[-1].reshape(n, k)
+            g, v = x.reshape(n, k), rows[-1].reshape(n, k)
             np.subtract(g[:, 1:], g[:, :-1], out=v[:, :-1])
             np.subtract(g[:, :1], g[:, -1:], out=v[:, -1:])
-        return out.ravel()
+        return out
 
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+    def rmatvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D' w, written into ``out`` (length N) when given."""
         k, n, N = self.lattice.k, self.lattice.n, self.lattice.size
         w = np.asarray(w, dtype=float).reshape(self.n_blocks, N)
+        if out is None:
+            out = np.empty(N)
         # a pixel is the +1 entry of the row one step back in each block and
         # the -1 entry of its own row
-        pos = np.zeros(N)
+        out.fill(0.0)
         if "h" in self.blocks:
             h = w[0]
-            pos[k:] += h[:-k]
-            pos[:k] += h[-k:]
+            out[k:] += h[:-k]
+            out[:k] += h[-k:]
         if "v" in self.blocks:
-            g, p = w[-1].reshape(n, k), pos.reshape(n, k)
+            g, p = w[-1].reshape(n, k), out.reshape(n, k)
             p[:, 1:] += g[:, :-1]
             p[:, :1] += g[:, -1:]
-        return pos - w.sum(axis=0)
-
-    def weighted_gram_diag(self, row_weights: np.ndarray) -> np.ndarray:
-        """diag(D' W D) for W = diag(row_weights)."""
-        N = self.lattice.size
-        return (np.bincount(self.pos_idx, weights=row_weights, minlength=N)
-                + np.bincount(self.neg_idx, weights=row_weights, minlength=N))
+        # the -1 sums need an array of their own beside the +1 sums in out
+        # (subtracting the blocks one by one would round differently)
+        np.subtract(out, w.sum(axis=0), out=out)
+        return out
 
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of D'D on the rfft2 frequency grid.
@@ -164,7 +181,7 @@ class DiffOperator:
         k, n = self.lattice.k, self.lattice.n
         fi = np.arange(k) / k
         fj = np.arange(n // 2 + 1) / n
-        out = np.zeros((k, n // 2 + 1))
+        out = np.zeros(self.lattice.rfft_shape)
         if "h" in self.blocks:
             out += (2.0 - 2.0 * np.cos(2.0 * np.pi * fj))[None, :]
         if "v" in self.blocks:
@@ -198,6 +215,25 @@ class DiffOperator:
         out[rows, self.pos_idx] += 1.0
         out[rows, self.neg_idx] -= 1.0
         return out
+
+
+def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, op, mult: np.ndarray,
+                   out: np.ndarray | None,
+                   spec: np.ndarray | None) -> np.ndarray:
+    """op(rfft2(x), mult) transformed back, as a stacked vector.
+
+    The spectrum is formed and combined with ``mult`` in ``spec`` and the
+    result written into ``out``; either is allocated when None.
+    """
+    grid = lattice.to_grid(x)
+    spec = np.fft.rfft2(grid, out=spec)
+    op(spec, mult, out=spec)
+    if out is None:
+        out = np.empty(lattice.size)
+    # numpy 2.4's irfft2 hands out=None on to irfftn whatever out it is
+    # given, so its result is copied into the buffer here
+    np.copyto(lattice.to_grid(out), np.fft.irfft2(spec, s=grid.shape))
+    return out
 
 
 def build_diff_operator(lattice: LatticeSpec) -> DiffOperator:
@@ -259,37 +295,26 @@ class BlurOperator:
     def size(self) -> int:
         return self.lattice.size
 
-    def _apply(self, x: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        grid = self.lattice.to_grid(x)
-        out = np.fft.irfft2(np.fft.rfft2(grid) * mult, s=grid.shape)
-        return self.lattice.to_stacked(out)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, mult: np.ndarray,
+               out: np.ndarray | None = None,
+               spec: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected stacked vector of length {self.size}")
+        return _fourier_apply(self.lattice, x, np.multiply, mult, out, spec)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x, self._fwd)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.size,):
-            raise ValueError(f"expected stacked vector of length {self.size}")
         return self._apply(x, self._adj)
 
-    def gram_matvec(self, x: np.ndarray) -> np.ndarray:
-        """H'H x in one FFT round trip."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.size,):
-            raise ValueError(f"expected stacked vector of length {self.size}")
-        return self._apply(x, self._gram)
-
-    def gram_diag(self) -> float:
-        """Common diagonal entry of H'H (columns share the norm by shift
-        invariance)."""
-        e0 = np.zeros(self.size)
-        e0[0] = 1.0
-        col = self.matvec(e0)
-        return float(col @ col)
+    def gram_matvec(self, x: np.ndarray, out: np.ndarray | None = None,
+                    spec: np.ndarray | None = None) -> np.ndarray:
+        """H'H x in one FFT round trip, into ``out`` (length N) through the
+        spectrum buffer ``spec`` (``lattice.rfft_shape``, complex) when
+        given."""
+        return self._apply(x, self._gram, out, spec)
 
     def to_dense(self) -> np.ndarray:
         _check_dense(self.size, "blur operator assembly")
@@ -308,13 +333,19 @@ class BlurOperator:
 
 def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
                          lam_over_nu: float, row_weights: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
+                         v: np.ndarray, out: np.ndarray | None = None, *,
+                         spec: np.ndarray | None = None,
+                         rows: np.ndarray | None = None,
+                         acc: np.ndarray | None = None) -> np.ndarray:
     """(H'H + (lambda/nu) D' W D) v without forming the matrix.
 
     H'H is applied as its circulant multiplier |H^|^2 (one FFT round trip),
     D and D' as grid stencils. ``row_weights`` is the diagonal of
     W = R^{-2}, one entry per difference row; zero entries are allowed (a
-    safeguarded prior keeps them finite).
+    safeguarded prior keeps them finite). The result goes into ``out``
+    (length N, not ``v`` itself); ``spec`` (the rfft2 spectrum), ``rows`` (one entry per
+    difference row) and ``acc`` (length N, the penalty term) are work
+    arrays. Each is allocated when not given.
     """
     row_weights = np.asarray(row_weights, dtype=float)
     # NaN fails both comparisons, since min and max propagate it
@@ -324,9 +355,13 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
     if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
         raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
                              where="lam_over_nu")
-    out = blur.gram_matvec(v)
+    out = blur.gram_matvec(v, out=out, spec=spec)
     if lam_over_nu != 0.0:
-        out += lam_over_nu * diff.rmatvec(row_weights * diff.matvec(v))
+        rows = diff.matvec(v, out=rows)
+        np.multiply(row_weights, rows, out=rows)
+        penalty = diff.rmatvec(rows, out=acc)
+        penalty *= lam_over_nu
+        out += penalty
     return out
 
 
@@ -341,12 +376,17 @@ def gram_matrix_dense(blur: BlurOperator, diff: DiffOperator,
 
 
 def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
-                           lam_over_nu: float, mean_weight: float):
+                           lam_over_nu: float, mean_weight: float, *,
+                           spec: np.ndarray | None = None,
+                           out: np.ndarray | None = None):
     """Exact inverse of H'H + (lambda/nu) * w_mean * D'D, applied via FFT.
 
     Freezing the difference weights at their mean makes the operator
     block-circulant, so it diagonalises on the Fourier grid. Used as a
-    preconditioner for the true variable-weight system.
+    preconditioner for the true variable-weight system. Every apply
+    transforms through ``spec`` and writes its result into ``out`` when they
+    are given (so each result is overwritten by the next apply), and
+    allocates fresh arrays when they are not.
     """
     eig = (blur._gram
            + lam_over_nu * mean_weight * diff.gram_eigenvalues())
@@ -354,9 +394,7 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     lattice = blur.lattice
 
     def apply(v: np.ndarray) -> np.ndarray:
-        grid = lattice.to_grid(v)
-        out = np.fft.irfft2(np.fft.rfft2(grid) / eig, s=grid.shape)
-        return lattice.to_stacked(out)
+        return _fourier_apply(lattice, v, np.divide, eig, out, spec)
 
     return apply
 

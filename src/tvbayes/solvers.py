@@ -33,6 +33,10 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
 
     ``tol`` is relative: stop once ||matvec(x) - rhs|| <= tol * ||rhs||.
     ``precond`` applies an approximation of the inverse (identity if None).
+    ``matvec`` and ``precond`` may return a buffer that they overwrite on
+    their next call (the two may even share one): each result is used up
+    before either is called again, and none is returned or stored. The
+    iterate, the residual and the best iterate are arrays of this solve.
     Raises :class:`PcgError` carrying the best iterate on non-convergence
     or NaN breakdown.
     """
@@ -54,6 +58,7 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     p = z.copy()
     rz = float(r @ z)
     best_x, best_res = x.copy(), float(np.linalg.norm(r)) / rhs_norm
+    step = np.empty(n)
     for it in range(1, maxit + 1):
         qp = matvec(p)
         pqp = float(p @ qp)
@@ -61,14 +66,15 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             raise PcgError(f"CG breakdown at iteration {it}: p'Qp = {pqp}",
                            best=best_x, iterations=it, residual=best_res)
         alpha = rz / pqp
-        x += alpha * p
-        r -= alpha * qp
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, qp, out=step)
         res = float(np.linalg.norm(r)) / rhs_norm
         if not np.isfinite(res):
             raise PcgError(f"CG produced non-finite residual at iteration {it}",
                            best=best_x, iterations=it, residual=best_res)
         if res < best_res:
-            best_x, best_res = x.copy(), res
+            np.copyto(best_x, x)
+            best_res = res
         if res <= tol:
             return PcgResult(x, it, res)
         z = precond(r)

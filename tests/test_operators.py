@@ -12,6 +12,7 @@ from tvbayes.operators import (
     BlurOperator,
     LatticeSpec,
     build_diff_operator,
+    circulant_gram_precond,
     gaussian_kernel,
     gram_matrix_dense,
     validate_rank_condition,
@@ -21,6 +22,14 @@ from tvbayes.operators import (
 
 # 1-D row and column signals, a non-square grid and a square one
 LATTICES = [(1, 17), (5, 1), (3, 4), (6, 6)]
+# the same lattices with a kernel size; (5, 1, 7) and (3, 4, 5) alias the
+# kernel by periodic wrap
+BLUR_CASES = [(1, 17, 5), (5, 1, 7), (3, 4, 5), (6, 6, 3)]
+
+
+def nan_buffer(shape, dtype=float):
+    """A buffer whose stale entries would show in any result they leak into."""
+    return np.full(shape, np.nan, dtype=dtype)
 
 
 def dense_from_matvec(op_matvec, n):
@@ -139,25 +148,30 @@ class TestDiffOperator:
 
     @pytest.mark.parametrize("k,n", LATTICES)
     def test_stencils_equal_index_form(self, k, n):
-        # the same arithmetic as gathering and scattering by the row indices
+        # the same arithmetic as gathering and scattering by the row indices,
+        # allocating and into buffers passed in (twice, so the second call
+        # overwrites the first's result)
         d = build_diff_operator(LatticeSpec(k, n))
         N = d.lattice.size
+        rows, col = nan_buffer(d.n_rows), nan_buffer(N)
         rng = np.random.default_rng(14)
-        x, w = rng.normal(size=N), rng.normal(size=d.n_rows)
-        np.testing.assert_array_equal(d.matvec(x),
-                                      x[d.pos_idx] - x[d.neg_idx])
-        np.testing.assert_array_equal(
-            d.rmatvec(w),
-            np.bincount(d.pos_idx, weights=w, minlength=N)
-            - np.bincount(d.neg_idx, weights=w, minlength=N))
+        for _ in range(2):
+            x, w = rng.normal(size=N), rng.normal(size=d.n_rows)
+            want_dx = x[d.pos_idx] - x[d.neg_idx]
+            want_dtw = (np.bincount(d.pos_idx, weights=w, minlength=N)
+                        - np.bincount(d.neg_idx, weights=w, minlength=N))
+            np.testing.assert_array_equal(d.matvec(x), want_dx)
+            np.testing.assert_array_equal(d.rmatvec(w), want_dtw)
+            assert d.matvec(x, out=rows) is rows
+            np.testing.assert_array_equal(rows, want_dx)
+            assert d.rmatvec(w, out=col) is col
+            np.testing.assert_array_equal(col, want_dtw)
 
-    def test_weighted_gram_diag(self):
+    def test_weighted_gram_dense(self):
         d = build_diff_operator(LatticeSpec(3, 4))
         rng = np.random.default_rng(3)
         w = rng.uniform(0.1, 2.0, size=24)
         dm = d.to_dense()
-        want = np.diag(dm.T @ np.diag(w) @ dm)
-        np.testing.assert_allclose(d.weighted_gram_diag(w), want, atol=1e-13)
         np.testing.assert_allclose(d.weighted_gram_dense(w),
                                    dm.T @ np.diag(w) @ dm, atol=1e-13)
 
@@ -243,23 +257,20 @@ class TestBlurOperator:
         v = rng.normal(size=20)
         np.testing.assert_allclose(h.rmatvec(v), dense.T @ v, atol=1e-12)
 
-    @pytest.mark.parametrize("k,n,size", [(1, 17, 5), (5, 1, 7), (3, 4, 5),
-                                          (6, 6, 3)])
+    @pytest.mark.parametrize("k,n,size", BLUR_CASES)
     def test_gram_matvec_is_two_passes(self, k, n, size):
-        # (5, 1, 7) and (3, 4, 5) alias the kernel by periodic wrap
         lat = LatticeSpec(k, n)
         h = BlurOperator(gaussian_kernel(size, size / 4.0), lat)
+        out = nan_buffer(lat.size)
+        spec = nan_buffer(lat.rfft_shape, complex)
         rng = np.random.default_rng(15)
         for _ in range(3):
             v = rng.normal(size=lat.size)
-            np.testing.assert_allclose(h.gram_matvec(v), h.rmatvec(h.matvec(v)),
-                                       atol=1e-13)
-
-    def test_gram_diag(self):
-        h = BlurOperator(gaussian_kernel(3, 0.7), LatticeSpec(4, 4))
-        dense = h.to_dense()
-        assert h.gram_diag() == pytest.approx(np.diag(dense.T @ dense)[0],
-                                              rel=1e-12)
+            got = h.gram_matvec(v)
+            np.testing.assert_allclose(got, h.rmatvec(h.matvec(v)), atol=1e-13)
+            # the result lands in out itself, not in a copy irfft2 made
+            assert h.gram_matvec(v, out=out, spec=spec) is out
+            np.testing.assert_array_equal(out, got)
 
     def test_rejects_bad_kernels(self):
         lat = LatticeSpec(4, 4)
@@ -315,6 +326,30 @@ class TestWeightedGram:
         for _ in range(100):
             v = rng.normal(size=16)
             assert float(v @ weighted_gram_matvec(h, d, 1.4, w, v)) > 0.0
+
+    @pytest.mark.parametrize("k,n,size", BLUR_CASES)
+    def test_out_forms_equal_allocating_forms(self, k, n, size):
+        # the buffers of one IAS solve: the gram apply and the preconditioner
+        # share the spectrum and the result
+        lat = LatticeSpec(k, n)
+        h = BlurOperator(gaussian_kernel(size, size / 4.0), lat)
+        d = build_diff_operator(lat)
+        spec = nan_buffer(lat.rfft_shape, complex)
+        rows = nan_buffer(d.n_rows)
+        acc, out = nan_buffer(lat.size), nan_buffer(lat.size)
+        precond = circulant_gram_precond(h, d, 0.37, 1.3, spec=spec, out=out)
+        fresh_precond = circulant_gram_precond(h, d, 0.37, 1.3)
+        rng = np.random.default_rng(18)
+        w = rng.uniform(0.1, 3.0, size=d.n_rows)
+        for _ in range(2):
+            v = rng.normal(size=lat.size)
+            got = weighted_gram_matvec(h, d, 0.37, w, v, out, spec=spec,
+                                       rows=rows, acc=acc)
+            assert got is out
+            np.testing.assert_array_equal(got,
+                                          weighted_gram_matvec(h, d, 0.37, w, v))
+            assert precond(v) is out
+            np.testing.assert_array_equal(out, fresh_precond(v))
 
     def test_rejects_bad_weights(self):
         h, d, lat = self._ops()

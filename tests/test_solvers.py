@@ -66,6 +66,43 @@ class TestPcg:
         res = pcg_solve(lambda v: a @ v, rhs, tol=1e-10, x0=xstar)
         assert res.iterations <= 1
 
+    def test_reused_result_buffers(self):
+        # matvec and precond write into one shared buffer, as the IAS x-step
+        # does; PCG must take the same steps as with fresh arrays
+        rng = np.random.default_rng(5)
+        a = random_spd(30, rng, cond=1e3)
+        d = np.diag(a).copy()
+        rhs, x0 = rng.normal(size=30), rng.normal(size=30)
+        buf = np.empty(30)
+        fresh = pcg_solve(lambda v: a @ v, rhs, precond=lambda r: r / d,
+                          tol=1e-10, x0=x0)
+        shared = pcg_solve(lambda v: np.matmul(a, v, out=buf), rhs,
+                           precond=lambda r: np.divide(r, d, out=buf),
+                           tol=1e-10, x0=x0)
+        assert shared.x is not buf
+        np.testing.assert_array_equal(shared.x, fresh.x)
+        assert shared.iterations == fresh.iterations
+        assert shared.residual == fresh.residual
+
+    def test_best_iterate_kept_past_worse_iterations(self):
+        # on this system iteration 9 has a larger residual than iteration 8,
+        # so a 9-iteration run must report iteration 8's iterate as its best
+        rng = np.random.default_rng(2)
+        a = random_spd(40, rng, cond=100.0)
+        rhs = rng.normal(size=40)
+        buf = np.empty(40)
+        best = {}
+        for maxit in (8, 9):
+            with pytest.raises(PcgError) as exc:
+                pcg_solve(lambda v: np.matmul(a, v, out=buf), rhs, tol=1e-14,
+                          maxit=maxit)
+            best[maxit] = exc.value
+        np.testing.assert_array_equal(best[9].best, best[8].best)
+        assert best[9].residual == best[8].residual
+        assert best[9].best is not buf
+        assert np.linalg.norm(a @ best[9].best - rhs) / np.linalg.norm(rhs) \
+            == pytest.approx(best[9].residual, rel=1e-9)
+
     @pytest.mark.parametrize("precond", [None, "jacobi"])
     def test_inputs_untouched(self, precond):
         # with precond=None the preconditioned residual is the residual
