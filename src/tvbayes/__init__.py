@@ -62,7 +62,6 @@ from .operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
-    build_diff_operator,
     gaussian_kernel,
     validate_rank_condition,
     weighted_gram_matvec,

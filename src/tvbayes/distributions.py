@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
+from scipy.linalg import solve_triangular
 
 from .errors import (
     BesselOverflowError,
@@ -375,7 +376,7 @@ def mvlaplace_log_pdf(params: MvLaplaceParams, x) -> float:
         raise ValueError(f"x shape {x.shape} does not match dimension {n}")
     z = x - params.mu
     chol = params._chol
-    w = np.linalg.solve(chol, z)
+    w = solve_triangular(chol, z, lower=True)
     s = float(w @ w)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     if n == 1:

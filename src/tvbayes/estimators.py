@@ -356,10 +356,13 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         x_prev = x_mean
         row_inv = np.tile(e_inv_r, n_blocks) if per_pixel else e_inv_r
         weights = 0.5 * row_inv
-        qbar = hth + (lam_mean / nu_mean) * model.diff.weighted_gram_dense(weights)
+        qbar = model.diff.weighted_gram_dense(weights)
+        qbar *= lam_mean / nu_mean
+        qbar += hth
         factor = SpdFactor(qbar)
         x_mean = factor.solve(hty)
-        x_cov = factor.inverse() / nu_mean
+        x_cov = factor.inverse()
+        x_cov /= nu_mean
 
         dx = model.diff.matvec(x_mean)
         e_dx2 = dx * dx + model.diff.row_quadratic(x_cov)
@@ -456,6 +459,7 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     n_blocks = model.diff.n_blocks
     hd = model.blur.to_dense()
     hth = hd.T @ hd
+    nu_hth = np.empty_like(hth)
     hty = model.blur.rmatvec(y)
     nu_shape, lam_shape = model.nu_shape, model.lambda_shape
 
@@ -468,7 +472,9 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     kept = 0
     for sweep in range(total):
         weights = row_weights_from_r(r, model)
-        precision = nu * hth + lam * model.diff.weighted_gram_dense(weights)
+        precision = model.diff.weighted_gram_dense(weights)
+        precision *= lam
+        precision += np.multiply(nu, hth, out=nu_hth)
         factor = SpdFactor(precision)
         x = factor.sample_precision(factor.solve(nu * hty), rng)
 

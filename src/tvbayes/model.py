@@ -38,7 +38,6 @@ from .operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
-    build_diff_operator,
     gram_matrix_dense,
     validate_rank_condition,
 )
@@ -160,7 +159,7 @@ class ModelSpec:
               hyper: HyperParams | None = None,
               prior: PriorVariant | None = None) -> "ModelSpec":
         return cls(lattice, BlurOperator(kernel, lattice),
-                   build_diff_operator(lattice),
+                   DiffOperator(lattice),
                    hyper if hyper is not None else HyperParams(),
                    prior if prior is not None else LaplaceTV())
 

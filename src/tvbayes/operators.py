@@ -38,7 +38,6 @@ __all__ = [
     "LatticeSpec",
     "DiffOperator",
     "BlurOperator",
-    "build_diff_operator",
     "gaussian_kernel",
     "weighted_gram_matvec",
     "gram_matrix_dense",
@@ -234,11 +233,6 @@ def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, op, mult: np.ndarray,
     # given, so its result is copied into the buffer here
     np.copyto(lattice.to_grid(out), np.fft.irfft2(spec, s=grid.shape))
     return out
-
-
-def build_diff_operator(lattice: LatticeSpec) -> DiffOperator:
-    """Periodic difference operator for the lattice."""
-    return DiffOperator(lattice)
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import NotSpdError, PcgError
 
@@ -90,51 +90,63 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
 
 
 class SpdFactor:
-    """Cholesky factorisation of a dense SPD matrix.
+    """Cholesky factorisation A = L L' of a dense SPD matrix.
 
     Provides solves, the full inverse, the log-determinant, and draws from
     N(mean, A^{-1}) via x = mean + L^{-T} z (the matrix is interpreted as a
     precision for sampling).
+
+    ``matrix`` must be symmetric: only its upper triangle is read (the lower
+    triangle of its transpose, which LAPACK gets without a transposing copy
+    when ``matrix`` is C-ordered), and ``matrix`` itself is left untouched.
+    The factor is kept as LAPACK returns it: Fortran-ordered, with L in the
+    lower triangle and the input's entries still in the strict upper one.
+    Every routine used on it reads the lower triangle or the diagonal only.
+    ``inverse()`` returns a fresh C-ordered array.
     """
 
     def __init__(self, matrix: np.ndarray):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)
+        c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=0)
         if info > 0:
             raise NotSpdError(
                 f"matrix is not positive definite: leading minor {info} failed",
                 pivot=int(info))
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
-        self._lower = np.tril(c)
+        self._factor = c
         self.n = a.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpotrs(self._lower, rhs, lower=1)
+        x, info = lapack.dpotrs(self._factor, rhs, lower=1)
         if info != 0:
             raise ValueError(f"dpotrs failed with info={info}")
         return x
 
     def inverse(self) -> np.ndarray:
-        inv, info = lapack.dpotri(self._lower, lower=1)
+        # dpotri works on its own copy, so the factor survives
+        inv, info = lapack.dpotri(self._factor, lower=1)
         if info != 0:
             raise NotSpdError(f"dpotri failed with info={info}", pivot=int(info))
-        # dpotri fills one triangle only
-        return np.tril(inv) + np.tril(inv, -1).T
+        # dpotri fills the lower triangle only: mirror it column by column
+        for j in range(1, self.n):
+            inv[:j, j] = inv[j, :j]
+        # the transpose of the Fortran-ordered symmetric result is the same
+        # matrix in C order
+        return inv.T
 
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._lower))))
+        return 2.0 * float(np.sum(np.log(np.diag(self._factor))))
 
     def sample_precision(self, mean: np.ndarray, rng: np.random.Generator,
                          size: int | None = None) -> np.ndarray:
         """Draw from N(mean, A^{-1}) where A = L L' is the factored matrix."""
-        from scipy.linalg import solve_triangular
-
         if size is None:
             z = rng.standard_normal(self.n)
-            return mean + solve_triangular(self._lower, z, lower=True, trans="T")
+            return mean + solve_triangular(self._factor, z, lower=True,
+                                           trans="T")
         z = rng.standard_normal((self.n, size))
-        draws = solve_triangular(self._lower, z, lower=True, trans="T")
+        draws = solve_triangular(self._factor, z, lower=True, trans="T")
         return mean[:, None] + draws

@@ -222,6 +222,12 @@ class TestVb:
         assert np.linalg.norm(again.x_mean - res.x_mean) <= \
             10 * opts.tol * np.linalg.norm(res.x_mean)
 
+    def test_covariance_c_ordered_and_symmetric(self):
+        for model, _, y in (signal_problem(n=32), image_problem(k=8)):
+            cov = vb_run(y, model).x_cov
+            assert cov.flags.c_contiguous
+            assert np.array_equal(cov, cov.T)
+
     def test_capacity_gate(self):
         lattice = LatticeSpec(80, 80)
         model = ModelSpec.build(lattice, gaussian_kernel(3, 0.75))

@@ -20,7 +20,7 @@ from tvbayes.harness import (
     write_signal_csv,
     write_table_csv,
 )
-from tvbayes.operators import LatticeSpec, build_diff_operator
+from tvbayes.operators import DiffOperator, LatticeSpec
 
 
 class TestSignals:
@@ -33,7 +33,7 @@ class TestSignals:
     def test_blocky_difference_sparsity(self):
         for n in (64, 100, 250):
             sig = make_signal_1d("blocky", n)
-            d = build_diff_operator(LatticeSpec(1, n))
+            d = DiffOperator(LatticeSpec(1, n))
             jumps = np.count_nonzero(d.matvec(sig))
             assert jumps <= len(np.unique(sig)) + 1
 
@@ -62,7 +62,7 @@ class TestImages:
         assert img.shape == (42, 42)
         assert img.min() >= 0.0 and img.max() <= 1.0
         lat = LatticeSpec(42, 42)
-        d = build_diff_operator(lat)
+        d = DiffOperator(lat)
         nonzero = np.count_nonzero(d.matvec(lat.to_stacked(img)))
         assert nonzero < 0.2 * d.n_rows  # differences are sparse
 

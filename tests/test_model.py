@@ -82,7 +82,7 @@ class TestRankCondition:
         make_model()  # passes
         with pytest.raises(RankConditionError):
             lattice = LatticeSpec(3, 3)
-            from tvbayes.operators import BlurOperator, build_diff_operator
+            from tvbayes.operators import BlurOperator, DiffOperator
             h = BlurOperator(gaussian_kernel(3, 1.0), lattice)
             lap = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0],
                             [0.0, -1.0, 0.0]])
@@ -92,7 +92,7 @@ class TestRankCondition:
                     pad[du % 3, dv % 3] += lap[du + 1, dv + 1]
             freq = np.fft.rfft2(pad)
             h._adj, h._fwd = freq, np.conj(freq)
-            ModelSpec(lattice, h, build_diff_operator(lattice), HyperParams(),
+            ModelSpec(lattice, h, DiffOperator(lattice), HyperParams(),
                       LaplaceTV())
 
 

@@ -10,8 +10,8 @@ import pytest
 from tvbayes.errors import CapacityError, NonFiniteError
 from tvbayes.operators import (
     BlurOperator,
+    DiffOperator,
     LatticeSpec,
-    build_diff_operator,
     circulant_gram_precond,
     gaussian_kernel,
     gram_matrix_dense,
@@ -65,14 +65,14 @@ class TestLattice:
 
 class TestDiffOperator:
     def test_constant_in_nullspace(self):
-        d = build_diff_operator(LatticeSpec(4, 5))
+        d = DiffOperator(LatticeSpec(4, 5))
         np.testing.assert_allclose(d.matvec(np.full(20, 3.7)), 0.0, atol=1e-14)
 
     def test_two_by_two_hand_enumeration(self):
         # columns (0,0) and (1,1): horizontal diffs (+1,+1,-1,-1) by wrap,
         # vertical diffs all zero
         lat = LatticeSpec(2, 2)
-        d = build_diff_operator(lat)
+        d = DiffOperator(lat)
         x = lat.to_stacked(np.array([[0.0, 1.0], [0.0, 1.0]]))
         out = d.matvec(x)
         np.testing.assert_array_equal(out[:4], [1.0, 1.0, -1.0, -1.0])
@@ -80,7 +80,7 @@ class TestDiffOperator:
 
     def test_1d_is_circulant_first_difference(self):
         lat = LatticeSpec(1, 5)
-        d = build_diff_operator(lat)
+        d = DiffOperator(lat)
         assert d.blocks == ("h",)
         dm = d.to_dense()
         assert dm.shape == (5, 5)
@@ -88,12 +88,12 @@ class TestDiffOperator:
         np.testing.assert_array_equal(dm, want)
 
     def test_column_signal_uses_vertical_block(self):
-        d = build_diff_operator(LatticeSpec(5, 1))
+        d = DiffOperator(LatticeSpec(5, 1))
         assert d.blocks == ("v",)
         assert d.n_rows == 5
 
     def test_row_structure(self):
-        d = build_diff_operator(LatticeSpec(3, 4))
+        d = DiffOperator(LatticeSpec(3, 4))
         dm = d.to_dense()
         assert dm.shape == (24, 12)
         # every row: exactly one +1, one -1, zero sum
@@ -102,7 +102,7 @@ class TestDiffOperator:
         np.testing.assert_array_equal(dm.sum(axis=1), 0.0)
 
     def test_rank_is_n_minus_one(self):
-        d = build_diff_operator(LatticeSpec(3, 4))
+        d = DiffOperator(LatticeSpec(3, 4))
         assert np.linalg.matrix_rank(d.to_dense()) == 11
         # nullspace = constants only
         _, s, vt = np.linalg.svd(d.to_dense())
@@ -112,7 +112,7 @@ class TestDiffOperator:
     def test_index_notation_sums(self):
         # || R^{-1} D x ||^2 equals the explicit double sum over pixels
         lat = LatticeSpec(3, 4)
-        d = build_diff_operator(lat)
+        d = DiffOperator(lat)
         rng = np.random.default_rng(1)
         x = rng.normal(size=12)
         r = rng.uniform(0.5, 2.0, size=24)
@@ -129,7 +129,7 @@ class TestDiffOperator:
         assert lhs == pytest.approx(acc, rel=1e-12)
 
     def test_adjoint_matches_dense(self):
-        d = build_diff_operator(LatticeSpec(3, 3))
+        d = DiffOperator(LatticeSpec(3, 3))
         dm = d.to_dense()
         rng = np.random.default_rng(2)
         w = rng.normal(size=18)
@@ -137,7 +137,7 @@ class TestDiffOperator:
 
     @pytest.mark.parametrize("k,n", LATTICES)
     def test_stencils_match_dense(self, k, n):
-        d = build_diff_operator(LatticeSpec(k, n))
+        d = DiffOperator(LatticeSpec(k, n))
         dm = d.to_dense()
         rng = np.random.default_rng(13)
         x, w = rng.normal(size=d.lattice.size), rng.normal(size=d.n_rows)
@@ -151,7 +151,7 @@ class TestDiffOperator:
         # the same arithmetic as gathering and scattering by the row indices,
         # allocating and into buffers passed in (twice, so the second call
         # overwrites the first's result)
-        d = build_diff_operator(LatticeSpec(k, n))
+        d = DiffOperator(LatticeSpec(k, n))
         N = d.lattice.size
         rows, col = nan_buffer(d.n_rows), nan_buffer(N)
         rng = np.random.default_rng(14)
@@ -168,7 +168,7 @@ class TestDiffOperator:
             np.testing.assert_array_equal(col, want_dtw)
 
     def test_weighted_gram_dense(self):
-        d = build_diff_operator(LatticeSpec(3, 4))
+        d = DiffOperator(LatticeSpec(3, 4))
         rng = np.random.default_rng(3)
         w = rng.uniform(0.1, 2.0, size=24)
         dm = d.to_dense()
@@ -176,7 +176,7 @@ class TestDiffOperator:
                                    dm.T @ np.diag(w) @ dm, atol=1e-13)
 
     def test_row_quadratic(self):
-        d = build_diff_operator(LatticeSpec(2, 3))
+        d = DiffOperator(LatticeSpec(2, 3))
         rng = np.random.default_rng(4)
         m = rng.normal(size=(6, 6))
         m = m @ m.T
@@ -293,7 +293,7 @@ class TestWeightedGram:
     def _ops(self):
         lat = LatticeSpec(4, 4)
         return (BlurOperator(gaussian_kernel(3, 0.75), lat),
-                build_diff_operator(lat), lat)
+                DiffOperator(lat), lat)
 
     def test_zero_ratio_gives_hth(self):
         h, d, lat = self._ops()
@@ -333,7 +333,7 @@ class TestWeightedGram:
         # share the spectrum and the result
         lat = LatticeSpec(k, n)
         h = BlurOperator(gaussian_kernel(size, size / 4.0), lat)
-        d = build_diff_operator(lat)
+        d = DiffOperator(lat)
         spec = nan_buffer(lat.rfft_shape, complex)
         rows = nan_buffer(d.n_rows)
         acc, out = nan_buffer(lat.size), nan_buffer(lat.size)
@@ -368,7 +368,7 @@ class TestRankCondition:
     def test_gaussian_kernel_passes(self):
         lat = LatticeSpec(4, 4)
         h = BlurOperator(gaussian_kernel(3, 1.0), lat)
-        assert validate_rank_condition(h, build_diff_operator(lat))
+        assert validate_rank_condition(h, DiffOperator(lat))
 
     def test_zero_sum_kernel_fails(self):
         # a zero-sum mask annihilates constants; bypass the sum-1 validation
@@ -382,4 +382,4 @@ class TestRankCondition:
                 pad[du % 4, dv % 4] += lap[du + 1, dv + 1]
         freq = np.fft.rfft2(pad)
         h._adj, h._fwd = freq, np.conj(freq)
-        assert not validate_rank_condition(h, build_diff_operator(lat))
+        assert not validate_rank_condition(h, DiffOperator(lat))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack, solve_triangular
 
 from tvbayes.errors import NotSpdError, PcgError
 from tvbayes.solvers import SpdFactor, pcg_solve
@@ -11,6 +12,47 @@ def random_spd(n, rng, cond=10.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     eig = np.geomspace(1.0, cond, n)
     return (q * eig) @ q.T
+
+
+def symmetric_spd(n, rng):
+    """random_spd made exactly symmetric: a_ij + a_ji rounds as a_ji + a_ij."""
+    a = random_spd(n, rng)
+    return (a + a.T) / 2.0
+
+
+def layouts(a):
+    """The same matrix C-ordered, Fortran-ordered and as a strided slice."""
+    n = a.shape[0]
+    big = np.full((2 * n + 1, 3 * n), np.nan)
+    big[1::2, ::3] = a
+    return {"c": np.ascontiguousarray(a), "f": np.asfortranarray(a),
+            "strided": big[1::2, ::3]}
+
+
+class TrilFactor:
+    """Reference form: the np.tril factor in C order, the triangle masks of
+    the inverse, and LAPACK fed through f2py's transposing copies."""
+
+    def __init__(self, a):
+        c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)
+        self.info = info
+        self.lower = np.tril(c)
+
+    def solve(self, rhs):
+        return lapack.dpotrs(self.lower, rhs, lower=1)[0]
+
+    def inverse(self):
+        inv = lapack.dpotri(self.lower, lower=1)[0]
+        return np.tril(inv) + np.tril(inv, -1).T
+
+    def logdet(self):
+        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+
+    def sample_precision(self, mean, rng, size=None):
+        n = self.lower.shape[0]
+        z = rng.standard_normal(n if size is None else (n, size))
+        draws = solve_triangular(self.lower, z, lower=True, trans="T")
+        return mean + draws if size is None else mean[:, None] + draws
 
 
 class TestPcg:
@@ -170,3 +212,61 @@ class TestSpdFactor:
         two = SpdFactor(a).sample_precision(np.zeros(2),
                                             np.random.default_rng(9))
         np.testing.assert_array_equal(one, two)
+
+
+SIZES = [1, 2, 33, 130]
+
+
+class TestSpdFactorLayout:
+    """The kept Fortran-order factor against the np.tril reference form."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_equals_tril_form(self, n, layout):
+        rng = np.random.default_rng(100 + n)
+        a = layouts(symmetric_spd(n, rng))[layout]
+        a_in = a.copy()
+        ref = TrilFactor(a)
+        f = SpdFactor(a)
+        rhs = rng.normal(size=n)
+        rhs_many = rng.normal(size=(n, 3))
+        np.testing.assert_array_equal(f.solve(rhs), ref.solve(rhs))
+        np.testing.assert_array_equal(f.solve(rhs_many), ref.solve(rhs_many))
+        assert f.logdet() == ref.logdet()
+        inv = f.inverse()
+        np.testing.assert_array_equal(inv, ref.inverse())
+        assert inv.flags.c_contiguous
+        assert np.array_equal(inv, inv.T)
+        np.testing.assert_array_equal(f.inverse(), inv)
+        np.testing.assert_array_equal(f.solve(rhs), ref.solve(rhs))
+        np.testing.assert_array_equal(a, a_in)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_draws_equal_tril_form(self, n, layout):
+        rng = np.random.default_rng(200 + n)
+        a = layouts(symmetric_spd(n, rng))[layout]
+        mean = rng.normal(size=n)
+        f, ref = SpdFactor(a), TrilFactor(a)
+        for k in (2, 5):
+            np.testing.assert_array_equal(
+                f.sample_precision(mean, np.random.default_rng(k), size=k),
+                ref.sample_precision(mean, np.random.default_rng(k), size=k))
+        # one right-hand side takes a different triangular-solve path
+        np.testing.assert_allclose(
+            f.sample_precision(mean, np.random.default_rng(1)),
+            ref.sample_precision(mean, np.random.default_rng(1)),
+            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_not_spd_pivot_equals_tril_form(self, n, layout):
+        rng = np.random.default_rng(300 + n)
+        a = symmetric_spd(n, rng)
+        a[n // 2, n // 2] = -1.0
+        a = layouts(a)[layout]
+        a_in = a.copy()
+        with pytest.raises(NotSpdError) as exc:
+            SpdFactor(a)
+        assert 0 < exc.value.pivot == TrilFactor(a).info
+        np.testing.assert_array_equal(a, a_in)
