@@ -40,6 +40,7 @@ __all__ = [
     "gig_log_pdf",
     "gig_moment",
     "gig_mode",
+    "gig_mode_batch",
     "gig_variance",
     "gig_sample",
     "gig_sample_batch",
@@ -226,11 +227,18 @@ def gig_moment(params: GigParams, q: float) -> float:
 
 
 def gig_mode(params: GigParams) -> float:
-    """Mode of GIG(a, b, p): ((p-1) + sqrt((p-1)^2 + ab))/a, or b/(2(1-p)) at a=0."""
-    a, b, p = params.a, params.b, params.p
+    """Mode of GIG(a, b, p); see :func:`gig_mode_batch`."""
+    return float(gig_mode_batch(params.a, np.array([params.b]), params.p)[0])
+
+
+def gig_mode_batch(a: float, b: np.ndarray, p: float) -> np.ndarray:
+    """Mode of GIG(a, b_i, p) per entry of ``b``: ((p-1) + sqrt((p-1)^2 +
+    a b))/a, or b/(2(1-p)) at a = 0."""
+    b = np.asarray(b, dtype=float)
     if a == 0.0:
         return b / (2.0 * (1.0 - p))
-    return ((p - 1.0) + math.hypot(p - 1.0, math.sqrt(a * b))) / a
+    c = p - 1.0
+    return (c + np.sqrt(c * c + a * b)) / a
 
 
 def gig_variance(params: GigParams) -> float:

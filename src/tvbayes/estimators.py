@@ -24,6 +24,7 @@ import numpy as np
 from .distributions import (
     gig_inv_moment_batch,
     gig_mode,
+    gig_mode_batch,
     gig_moment,
     gig_sample_batch,
 )
@@ -34,9 +35,12 @@ from .errors import (
     NonFiniteError,
 )
 from .model import (
+    GammaParams,
     LatentState,
     ModelSpec,
+    lambda_conditional,
     log_posterior,
+    nu_conditional,
     r_conditional_b,
     row_weights_from_r,
 )
@@ -87,10 +91,9 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
     nu0 = model.n_pixels / max(resid2, floor)
 
     dx = model.diff.matvec(x0)
-    rdx2 = float(np.sum(dx * dx * row_weights_from_r(r, model)))
-    num = model.n_rows - 2.0 + 2.0 * model.hyper.alpha_lambda
-    den = rdx2 + 2.0 * model.hyper.beta_lambda
-    lam0 = num / den if den > 0 and num > 0 else 1.0
+    cond = lambda_conditional(
+        float(np.sum(dx * dx * row_weights_from_r(r, model))), model)
+    lam0 = cond.mode if cond.rate > 0 and cond.shape > 1 else 1.0
     return LatentState(x=x0, nu=nu0, lam=lam0, r=r)
 
 
@@ -108,29 +111,21 @@ def _check_lambda(lam: float, iteration: int):
             mode="no_op", iteration=iteration)
 
 
-def _gamma_mode_update(numerator: float, denominator: float, name: str,
-                       iteration: int) -> float:
-    if numerator <= 0:
+def _gamma_mode(cond: GammaParams, name: str, iteration: int) -> float:
+    """Mode of a gamma conditional, checked positive finite."""
+    if not (cond.shape > 1.0 and cond.rate > 0 and math.isfinite(cond.rate)):
         raise NonFiniteError(
-            f"{name} update has nonpositive numerator {numerator}; the "
-            "problem is too small for the improper hyperprior",
-            where=name, iteration=iteration)
-    if denominator <= 0 or not math.isfinite(denominator):
-        raise NonFiniteError(
-            f"{name} update denominator {denominator} is not positive finite",
-            where=name, iteration=iteration)
-    return numerator / denominator
+            f"{name} update has no positive finite mode: Gamma(shape "
+            f"{cond.shape}, rate {cond.rate}) needs shape > 1 (the problem "
+            "may be too small for the improper hyperprior) and a positive "
+            "finite rate", where=name, iteration=iteration)
+    return cond.mode
 
 
 def _r_mode_batch(a: float, bprime: np.ndarray, p_cond: float,
                   iteration: int) -> np.ndarray:
-    """Mode of GIG(a, b', p_cond) per latent; a = 0 uses the inverse-gamma
-    branch b'/(2(1-p)) since the general formula divides by a."""
-    if a > 0:
-        c = p_cond - 1.0
-        r = (c + np.sqrt(c * c + a * bprime)) / a
-    else:
-        r = bprime / (2.0 * (1.0 - p_cond))
+    """Mode of GIG(a, b', p_cond) per latent, checked positive finite."""
+    r = gig_mode_batch(a, bprime, p_cond)
     if not np.all(np.isfinite(r)) or np.any(r <= 0):
         raise NonFiniteError(
             "latent-scale mode update produced nonpositive values; use a "
@@ -148,7 +143,6 @@ class IasOptions:
     tol: float = 1e-6
     maxit: int = 200
     pcg_tol: float = 1e-8
-    pcg_maxit: int | None = None
     init: LatentState | None = None
     record_substeps: bool = False
 
@@ -172,7 +166,7 @@ class IasState:
 
 def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
                 weights: np.ndarray, rhs: np.ndarray, tol: float,
-                maxit: int | None, x0: np.ndarray | None) -> np.ndarray:
+                x0: np.ndarray) -> np.ndarray:
     """Solve (H'H + ratio D' W D) x = rhs by CG with the circulant
     preconditioner at the mean weight.
 
@@ -191,7 +185,7 @@ def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
         precond=circulant_gram_precond(blur, diff, ratio,
                                        float(np.mean(weights)),
                                        spec=spec, out=out),
-        tol=tol, maxit=maxit, x0=x0)
+        tol=tol, x0=x0)
     return sol.x
 
 
@@ -214,8 +208,6 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
     hty = model.blur.rmatvec(y)
-    nu_num = model.n_pixels - 2.0 + 2.0 * model.hyper.alpha_nu
-    lam_num = model.n_rows - 2.0 + 2.0 * model.hyper.alpha_lambda
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
     trace, substeps = [], []
@@ -226,28 +218,24 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         x_prev = x
         weights = row_weights_from_r(r, model)
         x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
-                        opts.pcg_tol, opts.pcg_maxit, x_prev)
+                        opts.pcg_tol, x_prev)
         step_logs = []
         if opts.record_substeps:
             step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
 
         resid = y - model.blur.matvec(x)
-        nu = _gamma_mode_update(nu_num,
-                                float(resid @ resid) + 2.0 * model.hyper.beta_nu,
-                                "nu", it)
+        nu = _gamma_mode(nu_conditional(float(resid @ resid), model), "nu", it)
         if opts.record_substeps:
             step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
 
-        dx = model.diff.matvec(x)
-        rdx2 = float(np.sum(dx * dx * weights))
-        lam = _gamma_mode_update(lam_num, rdx2 + 2.0 * model.hyper.beta_lambda,
-                                 "lambda", it)
+        dx2 = model.diff.matvec(x) ** 2
+        lam = _gamma_mode(lambda_conditional(float(np.sum(dx2 * weights)),
+                                             model), "lambda", it)
         _check_lambda(lam, it)
         if opts.record_substeps:
             step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
 
-        bprime = r_conditional_b(x, lam, model)
-        r = _r_mode_batch(mix.a, bprime, p_cond, it)
+        r = _r_mode_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond, it)
 
         logpost = log_posterior(LatentState(x, nu, lam, r), y, model)
         if opts.record_substeps:
@@ -331,31 +319,22 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     init.validate(model)
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
-    n_blocks = model.diff.n_blocks
-    per_pixel = model.prior.layout == "pixel"
+    n_blocks = model.diff.n_blocks if model.prior.layout == "pixel" else 1
 
     hd = model.blur.to_dense()
     hth = hd.T @ hd
     hty = model.blur.rmatvec(y)
-    nu_shape = model.nu_shape
-    lam_shape = model.lambda_shape
 
     nu_mean, lam_mean = init.nu, init.lam
     e_inv_r = 1.0 / init.r
-    nu_rate, lam_rate = nu_shape / nu_mean, lam_shape / lam_mean
-    r_b = mix.b + np.zeros(model.n_latents)
-
     x_mean = init.x
-    x_cov = None
-    e_dx2 = None
     trace = []
     converged = False
     iterations = 0
     for it in range(1, opts.maxit + 1):
         iterations = it
         x_prev = x_mean
-        row_inv = np.tile(e_inv_r, n_blocks) if per_pixel else e_inv_r
-        weights = 0.5 * row_inv
+        weights = 0.5 * np.tile(e_inv_r, n_blocks)
         qbar = model.diff.weighted_gram_dense(weights)
         qbar *= lam_mean / nu_mean
         qbar += hth
@@ -367,16 +346,17 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         dx = model.diff.matvec(x_mean)
         e_dx2 = dx * dx + model.diff.row_quadratic(x_cov)
 
-        nu_rate = (0.5 * float(np.sum((y - model.blur.matvec(x_mean)) ** 2))
-                   + 0.5 * float(np.sum(x_cov * hth)) + model.hyper.beta_nu)
-        nu_mean = nu_shape / nu_rate
+        # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H Cov(x))
+        nu_cond = nu_conditional(
+            float(np.sum((y - model.blur.matvec(x_mean)) ** 2))
+            + float(np.sum(x_cov * hth)), model)
+        nu_mean = nu_cond.mean
 
-        lam_rate = 0.25 * float(np.sum(row_inv * e_dx2)) + model.hyper.beta_lambda
-        lam_mean = lam_shape / lam_rate
+        lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
+        lam_mean = lam_cond.mean
         _check_lambda(lam_mean, it)
 
-        pooled = (e_dx2.reshape(n_blocks, N).sum(axis=0) if per_pixel else e_dx2)
-        r_b = 0.5 * lam_mean * pooled + mix.b
+        r_b = r_conditional_b(e_dx2, lam_mean, model)
         e_inv_r = gig_inv_moment_batch(mix.a, r_b, p_cond)
         if not np.all(np.isfinite(e_inv_r)) or np.any(e_inv_r <= 0):
             raise NonFiniteError("latent-scale inverse moments are not "
@@ -391,8 +371,9 @@ def vb_run(y: np.ndarray, model: ModelSpec,
             break
 
     return VbState(
-        x_mean=x_mean, x_cov=x_cov, nu_shape=nu_shape, nu_rate=nu_rate,
-        lam_shape=lam_shape, lam_rate=lam_rate, r_a=mix.a, r_b=r_b, r_p=p_cond,
+        x_mean=x_mean, x_cov=x_cov, nu_shape=nu_cond.shape,
+        nu_rate=nu_cond.rate, lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
+        r_a=mix.a, r_b=r_b, r_p=p_cond,
         e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
         converged=converged, trace=np.asarray(trace))
 
@@ -455,13 +436,10 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
 
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
-    per_pixel = model.prior.layout == "pixel"
-    n_blocks = model.diff.n_blocks
     hd = model.blur.to_dense()
     hth = hd.T @ hd
     nu_hth = np.empty_like(hth)
     hty = model.blur.rmatvec(y)
-    nu_shape, lam_shape = model.nu_shape, model.lambda_shape
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
     total = burn_in + opts.samples * opts.thinning
@@ -479,15 +457,13 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
         x = factor.sample_precision(factor.solve(nu * hty), rng)
 
         resid = y - model.blur.matvec(x)
-        nu = float(rng.gamma(nu_shape,
-                             1.0 / (0.5 * float(resid @ resid)
-                                    + model.hyper.beta_nu)))
-        dx = model.diff.matvec(x)
-        rdx2 = float(np.sum(dx * dx * weights))
-        lam = float(rng.gamma(lam_shape,
-                              1.0 / (0.5 * rdx2 + model.hyper.beta_lambda)))
-        bprime = r_conditional_b(x, lam, model)
-        r = gig_sample_batch(mix.a, bprime, p_cond, rng)
+        cond = nu_conditional(float(resid @ resid), model)
+        nu = float(rng.gamma(cond.shape, 1.0 / cond.rate))
+        dx2 = model.diff.matvec(x) ** 2
+        cond = lambda_conditional(float(np.sum(dx2 * weights)), model)
+        lam = float(rng.gamma(cond.shape, 1.0 / cond.rate))
+        r = gig_sample_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond,
+                             rng)
 
         nu_trace[sweep] = nu
         lam_trace[sweep] = lam
@@ -509,11 +485,9 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
 # ---------------------------------------------------------------------------
 
 def tikhonov_baseline(y: np.ndarray, blur: BlurOperator, diff: DiffOperator,
-                      delta: float, tol: float = 1e-10,
-                      maxit: int | None = None) -> np.ndarray:
-    """Solve (H'H + delta D'D) x = H'y by preconditioned CG."""
+                      delta: float) -> np.ndarray:
+    """Solve (H'H + delta D'D) x = H'y by one division on the Fourier grid."""
     if not delta > 0:
         raise ValueError(f"tikhonov delta must be > 0, got {delta}")
     y = np.asarray(y, dtype=float)
-    return _gram_solve(blur, diff, delta, np.ones(diff.n_rows),
-                       blur.rmatvec(y), tol, maxit, None)
+    return circulant_gram_precond(blur, diff, delta, 1.0)(blur.rmatvec(y))

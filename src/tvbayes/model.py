@@ -18,6 +18,12 @@ and the way latents map to difference rows depend on the variant's layout:
 On the usual 2-D lattice M = 2N and L = 2, which recovers the familiar
 lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D signals
 (M = N, L = 1) without special cases.
+
+The nu, lambda and latent-scale conditional formulas live only in three
+builders: :func:`nu_conditional`, :func:`lambda_conditional` and
+:func:`r_conditional_b`. Each engine computes their statistics and reads
+what it needs: IAS the modes, VB the rates and moments (from expected
+statistics), Gibbs draws, :func:`conditional_params` the parameters.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ __all__ = [
     "GaussianParams",
     "log_posterior",
     "conditional_params",
+    "nu_conditional",
+    "lambda_conditional",
     "r_conditional_b",
     "row_weights_from_r",
 ]
@@ -233,30 +241,6 @@ def row_weights_from_r(r: np.ndarray, model: ModelSpec) -> np.ndarray:
     return 1.0 / (2.0 * r)
 
 
-def r_conditional_b(x: np.ndarray, lam: float, model: ModelSpec,
-                    check: bool = True) -> np.ndarray:
-    """Second GIG parameter of every latent-scale conditional:
-    b' = lambda/2 * (local squared difference) + b, pooling a pixel's rows
-    under the per-pixel layout.
-
-    With ``check`` (the default) a zero entry under an exact (b = 0) mixing
-    density raises; single-conditional callers may defer the check to the
-    latent they actually use.
-    """
-    d2 = model.diff.matvec(x) ** 2
-    if model.prior.layout == "pixel":
-        d2 = d2.reshape(model.diff.n_blocks, model.n_pixels).sum(axis=0)
-    mix = model.prior.mixing()
-    bprime = 0.5 * lam * d2 + mix.b
-    if check and mix.b == 0.0 and np.any(bprime == 0.0):
-        count = int(np.sum(bprime == 0.0))
-        raise DegenerateConditionalError(
-            f"{count} latent-scale conditional(s) degenerate: zero pixel "
-            "difference with an exact (b = 0) mixing density. Use a "
-            "safeguarded prior, e.g. LaplaceTV(safeguard_b=0.001).")
-    return bprime
-
-
 @dataclass
 class GammaParams:
     """Gamma(shape, rate) conditional."""
@@ -296,6 +280,41 @@ class GaussianParams:
         n = self.mean.shape[0]
         return 0.5 * factor.logdet() - 0.5 * n * math.log(2 * math.pi) \
             - 0.5 * float(z @ (self.precision @ z))
+
+
+def nu_conditional(sq_resid: float, model: ModelSpec) -> GammaParams:
+    """Conditional of nu given ||y - Hx||^2 (or its expectation)."""
+    return GammaParams(model.nu_shape, 0.5 * sq_resid + model.hyper.beta_nu)
+
+
+def lambda_conditional(weighted_sq_diff: float,
+                       model: ModelSpec) -> GammaParams:
+    """Conditional of lambda given ||R^{-1} D x||^2 (or its expectation)."""
+    return GammaParams(model.lambda_shape,
+                       0.5 * weighted_sq_diff + model.hyper.beta_lambda)
+
+
+def _degenerate(which: str) -> DegenerateConditionalError:
+    return DegenerateConditionalError(
+        f"{which} degenerate: zero difference under an exact (b = 0) mixing "
+        "density. Use a safeguarded prior, e.g. LaplaceTV(safeguard_b=0.001).")
+
+
+def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
+                    check: bool = True) -> np.ndarray:
+    """Second GIG parameter b' = lambda/2 * (squared difference) + b of
+    every latent-scale conditional, from each row's squared difference (or
+    its expectation), pooling a pixel's rows under the per-pixel layout.
+    With ``check`` a zero b' (exact b = 0 mixing only) raises; callers that
+    need one latent check just that one."""
+    if model.prior.layout == "pixel":
+        sq_diffs = sq_diffs.reshape(model.diff.n_blocks,
+                                    model.n_pixels).sum(axis=0)
+    bprime = 0.5 * lam * sq_diffs + model.prior.mixing().b
+    if check and np.any(bprime == 0.0):
+        raise _degenerate(f"{int(np.sum(bprime == 0.0))} latent-scale "
+                          "conditional(s)")
+    return bprime
 
 
 def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
@@ -345,29 +364,27 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
     """
     state.validate(model)
     y = np.asarray(y, dtype=float)
-    h = model.hyper
     if which == "x":
-        weights = row_weights_from_r(state.r, model)
-        q = gram_matrix_dense(model.blur, model.diff,
-                              state.lam / state.nu, weights)
+        q = gram_matrix_dense(model.blur, model.diff, state.lam / state.nu,
+                              row_weights_from_r(state.r, model))
         mean = SpdFactor(q).solve(model.blur.rmatvec(y))
         return GaussianParams(mean, state.nu * q)
     if which == "nu":
         resid = y - model.blur.matvec(state.x)
-        return GammaParams(model.nu_shape, 0.5 * float(resid @ resid) + h.beta_nu)
+        return nu_conditional(float(resid @ resid), model)
+    dx2 = model.diff.matvec(state.x) ** 2
     if which == "lambda":
-        dx = model.diff.matvec(state.x)
         weights = row_weights_from_r(state.r, model)
-        return GammaParams(model.lambda_shape,
-                           0.5 * float(np.sum(dx * dx * weights)) + h.beta_lambda)
+        return lambda_conditional(float(np.sum(dx2 * weights)), model)
     if isinstance(which, tuple) and len(which) == 2 and which[0] == "r":
         idx = which[1]
-        bprime = r_conditional_b(state.x, state.lam, model, check=False)
-        mix = model.prior.mixing()
-        if mix.b == 0.0 and bprime[idx] == 0.0:
-            raise DegenerateConditionalError(
-                f"latent-scale conditional {idx} degenerate: zero pixel "
-                "difference with an exact (b = 0) mixing density. Use a "
-                "safeguarded prior, e.g. LaplaceTV(safeguard_b=0.001).")
-        return GigParams(mix.a, float(bprime[idx]), model.r_conditional_index)
+        if not (isinstance(idx, (int, np.integer))
+                and 0 <= idx < model.n_latents):
+            raise ValueError(f"latent index must be an int in "
+                             f"[0, {model.n_latents}), got {idx!r}")
+        bprime = r_conditional_b(dx2, state.lam, model, check=False)[idx]
+        if bprime == 0.0:
+            raise _degenerate(f"latent-scale conditional {idx}")
+        return GigParams(model.prior.mixing().a, float(bprime),
+                         model.r_conditional_index)
     raise ValueError(f"unknown conditional selector {which!r}")

@@ -192,6 +192,49 @@ class TestIasRuns:
         assert exc.value.mode == "blank_image"
 
 
+class TestSharedConditionals:
+    """Every engine takes nu, lambda and b' from the model's builders."""
+
+    BUILDERS = ("nu_conditional", "lambda_conditional", "r_conditional_b")
+
+    @pytest.fixture
+    def problem(self, monkeypatch):
+        import tvbayes.estimators as est
+        model, _, y = signal_problem()
+        init = initial_state(y, model)
+        calls = {name: [] for name in self.BUILDERS}
+        for name, out in calls.items():
+            def record(*args, _fn=getattr(est, name), _out=out, **kwargs):
+                _out.append(_fn(*args, **kwargs))
+                return _out[-1]
+            monkeypatch.setattr(est, name, record)
+        return model, y, init, calls
+
+    def counts(self, calls):
+        return [len(calls[name]) for name in self.BUILDERS]
+
+    def test_ias_takes_the_modes(self, problem):
+        model, y, init, calls = problem
+        res = ias_run(y, model, IasOptions(init=init))
+        assert self.counts(calls) == [res.iterations] * 3
+        assert res.nu == calls["nu_conditional"][-1].mode
+        assert res.lam == calls["lambda_conditional"][-1].mode
+
+    def test_vb_takes_the_rates(self, problem):
+        model, y, init, calls = problem
+        res = vb_run(y, model, VbOptions(init=init))
+        assert self.counts(calls) == [res.iterations] * 3
+        assert res.nu_rate == calls["nu_conditional"][-1].rate
+        assert res.lam_rate == calls["lambda_conditional"][-1].rate
+        np.testing.assert_array_equal(res.r_b, calls["r_conditional_b"][-1])
+
+    def test_gibbs_draws_from_them(self, problem):
+        model, y, init, calls = problem
+        chain = gibbs_run(y, model, GibbsOptions(seed=2, samples=20,
+                                                 burn_in=5, init=init))
+        assert self.counts(calls) == [chain.n_sweeps] * 3
+
+
 class TestVb:
     def test_rig_inverse_moment_identity(self):
         # E(1/r) of GIG(2, lam*E/2, 1/2) equals 2/sqrt(lam*E)
@@ -315,7 +358,8 @@ class TestGibbs:
             dx = model.diff.matvec(x)
             lam = float(rng.gamma(model.lambda_shape,
                                   1.0 / (0.5 * np.sum(dx * dx * w))))
-            r = gig_sample_batch(2.0, r_conditional_b(x, lam, model), 0.5, rng)
+            r = gig_sample_batch(2.0, r_conditional_b(dx * dx, lam, model),
+                                 0.5, rng)
             if sweep >= 5:
                 draws.append(x)
         draws = np.asarray(draws)
@@ -406,13 +450,17 @@ class TestTikhonov:
 
     def test_matches_dense_normal_equations(self):
         model, truth, y = signal_problem(n=24)
+        # 2-D, non-square, and a 5x5 mask that wraps around the 3-row side
+        model_2d = ModelSpec.build(LatticeSpec(3, 8), gaussian_kernel(5, 1.0))
+        y_2d = np.random.default_rng(23).uniform(size=24)
         delta = 0.37
-        x = tikhonov_baseline(y, model.blur, model.diff, delta, tol=1e-12)
-        hd = model.blur.to_dense()
-        dd = model.diff.to_dense()
-        want = np.linalg.solve(hd.T @ hd + delta * dd.T @ dd,
-                               model.blur.rmatvec(y))
-        np.testing.assert_allclose(x, want, atol=1e-8)
+        for model, y in ((model, y), (model_2d, y_2d)):
+            x = tikhonov_baseline(y, model.blur, model.diff, delta)
+            hd = model.blur.to_dense()
+            dd = model.diff.to_dense()
+            want = np.linalg.solve(hd.T @ hd + delta * dd.T @ dd,
+                                   model.blur.rmatvec(y))
+            np.testing.assert_allclose(x, want, atol=1e-8)
 
     def test_rejects_nonpositive_delta(self):
         model, truth, y = signal_problem(n=16)

@@ -213,6 +213,24 @@ class TestConditionals:
         cond = conditional_params(state, rng.normal(size=9), model, ("r", 0))
         assert cond.b == pytest.approx(0.001)
 
+    @pytest.mark.parametrize("idx", [-1, 9, 1.0])
+    def test_r_selector_outside_the_latents(self, idx):
+        model = make_model(prior=Laplace2D())  # one latent per pixel: 9
+        assert model.n_latents == 9
+        rng = np.random.default_rng(14)
+        state = random_state(model, rng)
+        with pytest.raises(ValueError):
+            conditional_params(state, rng.normal(size=9), model, ("r", idx))
+
+    def test_r_selector_takes_numpy_ints(self):
+        model = make_model(prior=Laplace2D())
+        rng = np.random.default_rng(15)
+        state = random_state(model, rng)
+        y = rng.normal(size=9)
+        last = model.n_latents - 1
+        assert conditional_params(state, y, model, ("r", np.int64(last))) \
+            == conditional_params(state, y, model, ("r", last))
+
 
 class TestCoherence:
     """Restricted log-posterior minus conditional log-density is constant."""
