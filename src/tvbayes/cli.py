@@ -75,13 +75,6 @@ from .operators import LatticeSpec, gaussian_kernel
 
 SIDECAR_SCHEMA_VERSION = 1
 
-_EXIT_USAGE = 2
-_EXIT_RANK = 3
-_EXIT_CAPACITY = 4
-_EXIT_DIVERGENCE = 5
-_EXIT_SOLVER = 6
-_EXIT_DEGENERACY = 7
-
 KINDS_1D = ("blocky", "blocky_smooth")
 KINDS_2D = ("blocks42", "shepp_logan")
 
@@ -266,6 +259,13 @@ def _build_prior(args):
 
 def _cmd_deblur(args) -> int:
     lattice, y = _load_field(args.input)
+    truth = None
+    if args.truth is not None:
+        truth_lattice, truth = _load_field(args.truth)
+        if truth_lattice != lattice:
+            raise FileFormatError(f"truth {args.truth!r} and the input "
+                                  "are not on the same pixel lattice")
+        metrics(y, truth)  # a truth that cannot be scored fails here
     kernel_size, sigma = args.kernel_size, args.sigma
     if args.sidecar is not None:
         with open(args.sidecar, encoding="ascii") as fh:
@@ -354,9 +354,8 @@ def _cmd_deblur(args) -> int:
         save_field("estimate", estimate)
 
     run_metrics = None
-    if args.truth is not None:
-        _, truth_vec = _load_field(args.truth)
-        run_metrics = metrics(estimate, truth_vec)
+    if truth is not None:
+        run_metrics = metrics(estimate, truth)
         if math.isinf(run_metrics["psnr"]):
             run_metrics["psnr"] = None  # JSON has no inf
 
@@ -406,31 +405,29 @@ def _cmd_dist(args) -> int:
 _HANDLERS = {"simulate": _cmd_simulate, "deblur": _cmd_deblur,
              "dist": _cmd_dist}
 
+# First match wins: RankConditionError, NotSpdError and FileFormatError are
+# ValueErrors, so the usage row, which catches ValueError, comes last
+_EXIT_CODES = (
+    ((RankConditionError,), 3),
+    ((CapacityError,), 4),
+    ((DivergenceError,), 5),
+    ((PcgError, NotSpdError, NonFiniteError), 6),
+    ((DegenerateConditionalError,), 7),
+    ((FileFormatError, GigParameterError, MomentDivergesError, ValueError,
+      OSError, json.JSONDecodeError, KeyError), 2),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
+
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except RankConditionError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_RANK
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CAPACITY
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DIVERGENCE
-    except (PcgError, NotSpdError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
-    except DegenerateConditionalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERACY
-    except (FileFormatError, GigParameterError, MomentDivergesError,
-            ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return next(code for classes, code in _EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .distributions import (
     gig_sample_batch,
 )
 from .errors import (
-    CapacityError,
     DivergenceError,
     MomentDivergesError,
     NonFiniteError,
@@ -45,10 +44,10 @@ from .model import (
     row_weights_from_r,
 )
 from .operators import (
-    DENSE_CAPACITY,
     BlurOperator,
     DiffOperator,
     circulant_gram_precond,
+    dense_gram,
     weighted_gram_matvec,
 )
 from .solvers import SpdFactor, pcg_solve
@@ -309,11 +308,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         raise ValueError("vb needs maxit >= 1 and tol > 0")
     y = np.asarray(y, dtype=float)
     N = model.n_pixels
-    if N > DENSE_CAPACITY:
-        raise CapacityError(
-            f"vb needs dense {N} x {N} covariances; capacity is "
-            f"{DENSE_CAPACITY} pixels. Use ias (matrix-free) for problems "
-            "this large.")
+    x_precision = dense_gram(model.blur, model.diff)
 
     init = opts.init if opts.init is not None else initial_state(y, model)
     init.validate(model)
@@ -321,8 +316,6 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     p_cond = model.r_conditional_index
     n_blocks = model.diff.n_blocks if model.prior.layout == "pixel" else 1
 
-    hd = model.blur.to_dense()
-    hth = hd.T @ hd
     hty = model.blur.rmatvec(y)
 
     nu_mean, lam_mean = init.nu, init.lam
@@ -335,21 +328,22 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         iterations = it
         x_prev = x_mean
         weights = 0.5 * np.tile(e_inv_r, n_blocks)
-        qbar = model.diff.weighted_gram_dense(weights)
-        qbar *= lam_mean / nu_mean
-        qbar += hth
-        factor = SpdFactor(qbar)
+        factor = SpdFactor(x_precision(lam_mean / nu_mean, weights))
         x_mean = factor.solve(hty)
         x_cov = factor.inverse()
         x_cov /= nu_mean
 
         dx = model.diff.matvec(x_mean)
-        e_dx2 = dx * dx + model.diff.row_quadratic(x_cov)
+        row_var = model.diff.row_quadratic(x_cov)
+        e_dx2 = dx * dx + row_var
 
-        # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H Cov(x))
+        # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
+        # nu, lambda that built this sweep's factor, S (nu H'H + lambda D'WD)
+        # = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii) / nu
         nu_cond = nu_conditional(
             float(np.sum((y - model.blur.matvec(x_mean)) ** 2))
-            + float(np.sum(x_cov * hth)), model)
+            + (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean,
+            model)
         nu_mean = nu_cond.mean
 
         lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
@@ -422,23 +416,18 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
         raise ValueError("need at least one kept sample")
     if opts.thinning < 1:
         raise ValueError("thinning must be >= 1")
+    burn_in = opts.burn_in if opts.burn_in is not None else opts.samples // 5
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     y = np.asarray(y, dtype=float)
     N = model.n_pixels
-    if N > DENSE_CAPACITY:
-        raise CapacityError(
-            f"gibbs draws need dense {N} x {N} factorisations; capacity is "
-            f"{DENSE_CAPACITY} pixels.")
-
-    burn_in = opts.burn_in if opts.burn_in is not None else opts.samples // 5
+    x_precision = dense_gram(model.blur, model.diff)
     rng = np.random.default_rng(opts.seed)
     state = opts.init if opts.init is not None else initial_state(y, model)
     state.validate(model)
 
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
-    hd = model.blur.to_dense()
-    hth = hd.T @ hd
-    nu_hth = np.empty_like(hth)
     hty = model.blur.rmatvec(y)
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
@@ -450,9 +439,8 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     kept = 0
     for sweep in range(total):
         weights = row_weights_from_r(r, model)
-        precision = model.diff.weighted_gram_dense(weights)
-        precision *= lam
-        precision += np.multiply(nu, hth, out=nu_hth)
+        precision = x_precision(lam / nu, weights)
+        precision *= nu
         factor = SpdFactor(precision)
         x = factor.sample_precision(factor.solve(nu * hty), rng)
 

@@ -183,9 +183,11 @@ def metrics(x_hat: np.ndarray, x_true: np.ndarray) -> dict:
     x_true = np.asarray(x_true, dtype=float)
     if x_hat.shape != x_true.shape:
         raise ValueError("estimate and truth must have the same shape")
+    peak = float(np.max(x_true))
+    if peak == 0.0:  # covers an all-zero truth (zero norm) too
+        raise ValueError("truth must have a nonzero maximum (the PSNR peak)")
     err2 = float(np.sum((x_hat - x_true) ** 2))
     rel = math.sqrt(err2) / float(np.linalg.norm(x_true))
-    peak = float(np.max(x_true))
     psnr = math.inf if err2 == 0.0 else \
         10.0 * math.log10(peak ** 2 * x_true.size / err2)
     return {"rel_l2": rel, "psnr": psnr}

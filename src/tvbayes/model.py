@@ -44,7 +44,7 @@ from .operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
-    gram_matrix_dense,
+    dense_gram,
     validate_rank_condition,
 )
 from .solvers import SpdFactor
@@ -365,8 +365,8 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
     state.validate(model)
     y = np.asarray(y, dtype=float)
     if which == "x":
-        q = gram_matrix_dense(model.blur, model.diff, state.lam / state.nu,
-                              row_weights_from_r(state.r, model))
+        q = dense_gram(model.blur, model.diff)(
+            state.lam / state.nu, row_weights_from_r(state.r, model))
         mean = SpdFactor(q).solve(model.blur.rmatvec(y))
         return GaussianParams(mean, state.nu * q)
     if which == "nu":

@@ -15,6 +15,9 @@ row are kept for the dense paths.
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip.
 
+Dense H'H and the dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
+``model.conditional_params`` are formed only in ``dense_gram``.
+
 Buffers: ``BlurOperator.gram_matvec``, ``DiffOperator.matvec``/``rmatvec``,
 ``weighted_gram_matvec`` and the ``circulant_gram_precond`` apply take their
 work and result arrays from the caller (``out``, ``spec``, ``rows``,
@@ -40,7 +43,7 @@ __all__ = [
     "BlurOperator",
     "gaussian_kernel",
     "weighted_gram_matvec",
-    "gram_matrix_dense",
+    "dense_gram",
     "circulant_gram_precond",
     "validate_rank_condition",
 ]
@@ -359,14 +362,21 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
     return out
 
 
-def gram_matrix_dense(blur: BlurOperator, diff: DiffOperator,
-                      lam_over_nu: float, row_weights: np.ndarray) -> np.ndarray:
-    """Dense H'H + (lambda/nu) D' W D, capacity gated."""
+def dense_gram(blur: BlurOperator, diff: DiffOperator):
+    """Capacity-gated builder: ``build(lam_over_nu, row_weights)`` returns a
+    fresh dense H'H + (lambda/nu) D' W D, from an H'H formed here once."""
+    _check_dense(blur.size, "the Gaussian x-conditional")
     hd = blur.to_dense()
-    q = hd.T @ hd
-    if lam_over_nu != 0.0:
-        q = q + lam_over_nu * diff.weighted_gram_dense(row_weights)
-    return q
+    hth = hd.T @ hd
+    del hd
+
+    def build(lam_over_nu: float, row_weights: np.ndarray) -> np.ndarray:
+        q = diff.weighted_gram_dense(row_weights)
+        q *= lam_over_nu
+        q += hth
+        return q
+
+    return build
 
 
 def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,

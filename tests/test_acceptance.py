@@ -43,7 +43,7 @@ from tvbayes.model import (
     log_posterior,
     row_weights_from_r,
 )
-from tvbayes.operators import LatticeSpec, gaussian_kernel, gram_matrix_dense
+from tvbayes.operators import LatticeSpec, dense_gram, gaussian_kernel
 from tvbayes.solvers import SpdFactor, pcg_solve
 
 
@@ -179,7 +179,7 @@ def test_criterion_04_completing_the_square():
         dx = model.diff.matvec(x)
         resid = y - model.blur.matvec(x)
         lhs = float(resid @ resid) + (lam / nu) * float(np.sum(dx * dx * weights))
-        q = gram_matrix_dense(model.blur, model.diff, lam / nu, weights)
+        q = dense_gram(model.blur, model.diff)(lam / nu, weights)
         xhat = np.linalg.solve(q, model.blur.rmatvec(y))
         z = x - xhat
         rhs = float(z @ (q @ z)) + float(y @ y) - float(xhat @ (q @ xhat))

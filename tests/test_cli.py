@@ -6,8 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import tvbayes.cli as cli
+from tvbayes import errors
 from tvbayes.cli import main
-from tvbayes.harness import RunReport, read_pgm, read_signal_csv, read_table_csv
+from tvbayes.harness import (
+    RunReport,
+    read_pgm,
+    read_signal_csv,
+    read_table_csv,
+    write_signal_csv,
+)
 
 
 def run(*argv):
@@ -147,6 +155,27 @@ class TestDeblur:
                    "--out-prefix", out)
         assert code == 4
 
+    def test_negative_burn_in_exit_code(self, problem, tmp_path):
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "gibbs", "--samples", "10", "--burn-in", "-5",
+                   "--sidecar", problem + "_sim.json",
+                   "--out-prefix", str(tmp_path / "nb"))
+        assert code == 2
+
+    @pytest.mark.parametrize("truth", [np.zeros(64), np.zeros(63),
+                                       -np.arange(64.0)])
+    def test_bad_truth_exits_before_the_solve(self, problem, tmp_path,
+                                              monkeypatch, truth):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve ran")
+        monkeypatch.setattr(cli, "ias_run", no_solve)
+        path = str(tmp_path / "bad_truth.csv")
+        write_signal_csv(path, truth)
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "ias", "--sidecar", problem + "_sim.json",
+                   "--truth", path, "--out-prefix", str(tmp_path / "bt"))
+        assert code == 2
+
     def test_missing_input_exit_code(self, tmp_path):
         code = run("deblur", "--input", str(tmp_path / "nothing.csv"),
                    "--method", "ias", "--out-prefix", str(tmp_path / "o"))
@@ -210,3 +239,28 @@ class TestDist:
     def test_inadmissible_params_exit_code(self):
         assert run("dist", "--op", "mode", "--a", "0", "--b", "0",
                    "--p", "1") == 2
+
+
+@pytest.mark.parametrize("exc,code", [
+    (errors.RankConditionError("rank"), 3),
+    (errors.CapacityError("capacity"), 4),
+    (errors.DivergenceError("diverged", mode="blank_image", iteration=1), 5),
+    (errors.PcgError("cg"), 6),
+    (errors.NotSpdError("spd"), 6),
+    (errors.NonFiniteError("nan", where="x"), 6),
+    (errors.DegenerateConditionalError("degenerate"), 7),
+    (errors.FileFormatError("format"), 2),
+    (errors.GigParameterError("gig"), 2),
+    (errors.MomentDivergesError("moment"), 2),
+    (ValueError("value"), 2),
+    (OSError("os"), 2),
+    (json.JSONDecodeError("json", "doc", 0), 2),
+    (KeyError("key"), 2),
+])
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "dist", fail)
+    assert run("dist", "--op", "mode", "--a", "1", "--b", "1",
+               "--p", "1") == code
+    assert capsys.readouterr().err.startswith("error: ")

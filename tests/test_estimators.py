@@ -235,6 +235,82 @@ class TestSharedConditionals:
         assert self.counts(calls) == [chain.n_sweeps] * 3
 
 
+class TestDenseGram:
+    """VB, Gibbs and conditional_params take the x-system from one builder."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        import tvbayes.estimators as est
+        from tvbayes.operators import DiffOperator
+        calls = {"builds": 0, "matrices": 0, "dense_grams": 0}
+
+        def record(*args, _fn=est.dense_gram):
+            calls["builds"] += 1
+            build = _fn(*args)
+
+            def counted(*b_args):
+                calls["matrices"] += 1
+                return build(*b_args)
+            return counted
+
+        def dense_grams(self, *args, _fn=DiffOperator.weighted_gram_dense):
+            calls["dense_grams"] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(est, "dense_gram", record)
+        monkeypatch.setattr(DiffOperator, "weighted_gram_dense", dense_grams)
+        return calls
+
+    def test_vb_builds_once_and_factors_per_sweep(self, recorded):
+        model, _, y = signal_problem()
+        res = vb_run(y, model)
+        assert recorded == {"builds": 1, "matrices": res.iterations,
+                            "dense_grams": res.iterations}
+
+    def test_gibbs_builds_once_and_factors_per_sweep(self, recorded):
+        model, _, y = signal_problem()
+        chain = gibbs_run(y, model, GibbsOptions(seed=2, samples=20,
+                                                 burn_in=5))
+        assert recorded == {"builds": 1, "matrices": chain.n_sweeps,
+                            "dense_grams": chain.n_sweeps}
+
+    def test_conditional_params_scales_the_builder(self):
+        from tvbayes.model import row_weights_from_r
+        from tvbayes.operators import dense_gram
+        model, _, y = image_problem(k=6, prior=Laplace2D())
+        state = initial_state(y, model)
+        cond = conditional_params(state, y, model, "x")
+        q = dense_gram(model.blur, model.diff)(
+            state.lam / state.nu, row_weights_from_r(state.r, model))
+        assert np.array_equal(cond.precision, state.nu * q)
+
+    def test_nu_rate_trace_identity(self):
+        # VB's nu rate takes tr(H'H Cov(x)) from the x-system identity; the
+        # direct N x N trace is the oracle, at VB's own last state
+        dominated = image_problem(k=8)
+        init = initial_state(dominated[2], dominated[0])
+        init.lam = 1e4 * init.nu
+        cases = [
+            (signal_problem(n=32), VbOptions()),
+            (image_problem(k=6, seed=21, prior=StudentTV(2.0),
+                           hyper=STABLE_HYPER), VbOptions()),  # a = 0
+            (image_problem(k=6, seed=21, prior=Laplace2D(),
+                           hyper=STABLE_HYPER), VbOptions()),  # pooled rows
+            (dominated, VbOptions(maxit=1, init=init)),  # lambda/nu = 1e4
+        ]
+        worst = 0.0
+        for (model, _, y), opts in cases:
+            res = vb_run(y, model, opts)
+            hd = model.blur.to_dense()
+            resid = y - hd @ res.x_mean
+            direct = 0.5 * (float(resid @ resid)
+                            + float(np.sum(res.x_cov * (hd.T @ hd)))) \
+                + model.hyper.beta_nu
+            worst = max(worst, abs(res.nu_rate - direct) / direct)
+        print(f"worst relative nu-rate difference {worst:.2e}")
+        assert worst <= 1e-10
+
+
 class TestVb:
     def test_rig_inverse_moment_identity(self):
         # E(1/r) of GIG(2, lam*E/2, 1/2) equals 2/sqrt(lam*E)
@@ -432,6 +508,16 @@ class TestGibbs:
         model = ModelSpec.build(lattice, gaussian_kernel(3, 0.75))
         with pytest.raises(CapacityError):
             gibbs_run(np.zeros(6400), model)
+
+    @pytest.mark.parametrize("opts", [
+        GibbsOptions(samples=10, burn_in=-1),
+        GibbsOptions(samples=0),
+        GibbsOptions(thinning=0),
+    ])
+    def test_rejects_bad_chain_lengths(self, opts):
+        model, truth, y = signal_problem(n=16)
+        with pytest.raises(ValueError):
+            gibbs_run(y, model, opts)
 
 
 class TestTikhonov:

@@ -159,6 +159,12 @@ class TestMetrics:
             10 * np.log10(x.max() ** 2 * 30 / np.sum((x_hat - x) ** 2)),
             rel=1e-14)
 
+    @pytest.mark.parametrize("truth", [np.zeros(4),
+                                       np.array([-1.0, 0.0, -2.0, -0.5])])
+    def test_rejects_truth_without_peak(self, truth):
+        with pytest.raises(ValueError, match="nonzero maximum"):
+            metrics(np.ones(4), truth)
+
 
 class TestPgm:
     def test_p5_round_trip(self, tmp_path):

@@ -27,8 +27,8 @@ from tvbayes.model import (
 )
 from tvbayes.operators import (
     LatticeSpec,
+    dense_gram,
     gaussian_kernel,
-    gram_matrix_dense,
 )
 
 ALL_VARIANTS = [
@@ -111,8 +111,8 @@ class TestLogPosterior:
             resid = y - model.blur.matvec(state.x)
             lhs = float(resid @ resid) + (state.lam / state.nu) * float(
                 np.sum(dx * dx * weights))
-            q = gram_matrix_dense(model.blur, model.diff,
-                                  state.lam / state.nu, weights)
+            q = dense_gram(model.blur, model.diff)(state.lam / state.nu,
+                                                   weights)
             xhat = np.linalg.solve(q, model.blur.rmatvec(y))
             z = state.x - xhat
             rhs = float(z @ (q @ z)) + float(y @ y) - float(xhat @ (q @ xhat))

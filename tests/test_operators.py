@@ -13,8 +13,8 @@ from tvbayes.operators import (
     DiffOperator,
     LatticeSpec,
     circulant_gram_precond,
+    dense_gram,
     gaussian_kernel,
-    gram_matrix_dense,
     validate_rank_condition,
     weighted_gram_matvec,
 )
@@ -314,7 +314,7 @@ class TestWeightedGram:
         rng = np.random.default_rng(10)
         w = rng.uniform(0.1, 3.0, size=32)
         ratio = 0.37
-        qd = gram_matrix_dense(h, d, ratio, w)
+        qd = dense_gram(h, d)(ratio, w)
         v = rng.normal(size=16)
         np.testing.assert_allclose(weighted_gram_matvec(h, d, ratio, w, v),
                                    qd @ v, atol=1e-12)
