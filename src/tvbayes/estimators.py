@@ -302,6 +302,9 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     The x factor is Gaussian with dense covariance, so the run is capacity
     gated; nu and lambda factors are gammas with fixed shapes; latent-scale
     factors are GIG with shared (a, p) and per-latent second parameter.
+    A sweep reads from Cov(x) only diag(D Cov(x) D'), from the rows of the
+    inverse Cholesky factor L^{-T}; the full covariance ``x_cov`` is formed
+    once, from the last sweep's factor.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not opts.tol > 0:
@@ -329,12 +332,12 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         x_prev = x_mean
         weights = 0.5 * np.tile(e_inv_r, n_blocks)
         factor = SpdFactor(x_precision(lam_mean / nu_mean, weights))
+        nu_built = nu_mean
         x_mean = factor.solve(hty)
-        x_cov = factor.inverse()
-        x_cov /= nu_mean
 
         dx = model.diff.matvec(x_mean)
-        row_var = model.diff.row_quadratic(x_cov)
+        row_var = model.diff.factor_row_quadratic(factor.inverse_factor())
+        row_var /= nu_built
         e_dx2 = dx * dx + row_var
 
         # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
@@ -365,8 +368,9 @@ def vb_run(y: np.ndarray, model: ModelSpec,
             break
 
     return VbState(
-        x_mean=x_mean, x_cov=x_cov, nu_shape=nu_cond.shape,
-        nu_rate=nu_cond.rate, lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
+        x_mean=x_mean, x_cov=factor.inverse() / nu_built,
+        nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
+        lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
         r_a=mix.a, r_b=r_b, r_p=p_cond,
         e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
         converged=converged, trace=np.asarray(trace))

@@ -202,13 +202,22 @@ class DiffOperator:
         np.add.at(out, (self.neg_idx, self.pos_idx), -w)
         return out
 
-    def row_quadratic(self, mat: np.ndarray) -> np.ndarray:
-        """d_r' M d_r for every difference row d_r, M dense symmetric.
-
-        Equals M[p,p] + M[q,q] - 2 M[p,q] with (p, q) the +1/-1 columns.
-        """
-        p, q = self.pos_idx, self.neg_idx
-        return mat[p, p] + mat[q, q] - 2.0 * mat[p, q]
+    def factor_row_quadratic(self, g: np.ndarray) -> np.ndarray:
+        """diag(D G G' D') for a dense N x N G: per row (p, q) of D,
+        |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over shifted row
+        slices of G as in ``matvec`` (no D G is formed)."""
+        k, n = self.lattice.k, self.lattice.n
+        dots = np.empty(self.n_rows)
+        rows = dots.reshape(self.n_blocks, self.lattice.size)
+        if "h" in self.blocks:
+            np.einsum("ij,ij->i", g[k:], g[:-k], out=rows[0, :-k])
+            np.einsum("ij,ij->i", g[:k], g[-k:], out=rows[0, -k:])
+        if "v" in self.blocks:
+            g3, v = g.reshape(n, k, -1), rows[-1].reshape(n, k)
+            np.einsum("jil,jil->ji", g3[:, 1:], g3[:, :-1], out=v[:, :-1])
+            np.einsum("jl,jl->j", g3[:, 0], g3[:, -1], out=v[:, -1])
+        sq = np.einsum("ij,ij->i", g, g)
+        return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots
 
     def to_dense(self) -> np.ndarray:
         _check_dense(self.lattice.size, "difference operator assembly")

@@ -1,8 +1,8 @@
 """Inner linear-algebra kernels.
 
 Preconditioned conjugate gradients for the matrix-free MAP solves, and a
-dense Cholesky wrapper for the mean-field covariances and correlated
-Gaussian draws of the sampler.
+dense Cholesky wrapper for the mean-field covariances (whole, or as the
+factor L^{-T} of ``inverse_factor``) and the sampler's correlated draws.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
 class SpdFactor:
     """Cholesky factorisation A = L L' of a dense SPD matrix.
 
-    Provides solves, the full inverse, the log-determinant, and draws from
-    N(mean, A^{-1}) via x = mean + L^{-T} z (the matrix is interpreted as a
-    precision for sampling).
+    Provides solves, the full inverse and its factor G = L^{-T} (A^{-1} =
+    G G', ``inverse_factor``), the log-determinant, and draws from N(mean,
+    A^{-1}) via x = mean + L^{-T} z (the matrix is taken as a precision).
 
     ``matrix`` must be symmetric: only its upper triangle is read (the lower
     triangle of its transpose, which LAPACK gets without a transposing copy
@@ -102,7 +102,7 @@ class SpdFactor:
     The factor is kept as LAPACK returns it: Fortran-ordered, with L in the
     lower triangle and the input's entries still in the strict upper one.
     Every routine used on it reads the lower triangle or the diagonal only.
-    ``inverse()`` returns a fresh C-ordered array.
+    ``inverse()`` and ``inverse_factor()`` return fresh C-ordered arrays.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -136,6 +136,17 @@ class SpdFactor:
         # the transpose of the Fortran-ordered symmetric result is the same
         # matrix in C order
         return inv.T
+
+    def inverse_factor(self) -> np.ndarray:
+        """G = L^{-T}, upper triangular, so that A^{-1} = G G'."""
+        # dtrtri works on a copy, leaving the input entries above L^{-1}
+        linv, info = lapack.dtrtri(self._factor, lower=1)
+        if info != 0:
+            raise NotSpdError(f"dtrtri failed with info={info}", pivot=int(info))
+        g = linv.T
+        for i in range(1, self.n):
+            g[i, :i] = 0.0
+        return g
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._factor))))

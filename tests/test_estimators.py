@@ -311,6 +311,41 @@ class TestDenseGram:
         assert worst <= 1e-10
 
 
+class TestVbCovariance:
+    """A VB sweep reads diag(D Cov(x) D') from L^{-T}; Cov(x) is formed once,
+    from the last sweep's factor."""
+
+    def test_inverse_factor_per_sweep_inverse_once(self, monkeypatch):
+        from tvbayes.solvers import SpdFactor
+        calls = {"inverse_factor": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def call(self, *args):
+                calls[name] += 1
+                return fn(self, *args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(SpdFactor, name,
+                                counted(name, getattr(SpdFactor, name)))
+        model, _, y = signal_problem()
+        res = vb_run(y, model)
+        assert res.iterations > 1
+        assert calls == {"inverse_factor": res.iterations, "inverse": 1}
+
+    @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()])
+    def test_one_sweep_x_cov(self, prior):
+        from tvbayes.operators import dense_gram
+        from tvbayes.solvers import SpdFactor
+        model, _, y = image_problem(k=6, prior=prior)
+        s = initial_state(y, model)
+        res = vb_run(y, model, VbOptions(maxit=1, init=s))
+        n_blocks = model.diff.n_blocks if prior.layout == "pixel" else 1
+        w0 = 0.5 * np.tile(1.0 / s.r, n_blocks)
+        q = dense_gram(model.blur, model.diff)(s.lam / s.nu, w0)
+        assert np.array_equal(res.x_cov, SpdFactor(q).inverse() / s.nu)
+
+
 class TestVb:
     def test_rig_inverse_moment_identity(self):
         # E(1/r) of GIG(2, lam*E/2, 1/2) equals 2/sqrt(lam*E)

@@ -175,14 +175,17 @@ class TestDiffOperator:
         np.testing.assert_allclose(d.weighted_gram_dense(w),
                                    dm.T @ np.diag(w) @ dm, atol=1e-13)
 
-    def test_row_quadratic(self):
-        d = DiffOperator(LatticeSpec(2, 3))
+    # on the 2-wide sides a wrap row joins the same two pixels as the row
+    # before it
+    @pytest.mark.parametrize("k,n", LATTICES + [(2, 2), (2, 3)])
+    def test_factor_row_quadratic(self, k, n):
+        d = DiffOperator(LatticeSpec(k, n))
         rng = np.random.default_rng(4)
-        m = rng.normal(size=(6, 6))
-        m = m @ m.T
+        g = rng.normal(size=(k * n, k * n))
         dm = d.to_dense()
-        want = np.einsum("ri,ij,rj->r", dm, m, dm)
-        np.testing.assert_allclose(d.row_quadratic(m), want, rtol=1e-12)
+        want = np.einsum("ri,ij,rj->r", dm, g @ g.T, dm)
+        np.testing.assert_allclose(d.factor_row_quadratic(g), want,
+                                   rtol=1e-12)
 
 
 class TestGaussianKernel:

@@ -243,6 +243,21 @@ class TestSpdFactorLayout:
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_inverse_factor(self, n, layout):
+        rng = np.random.default_rng(400 + n)
+        f = SpdFactor(layouts(symmetric_spd(n, rng))[layout])
+        rhs = rng.normal(size=n)
+        x, logdet = f.solve(rhs), f.logdet()
+        g = f.inverse_factor()
+        assert g.flags.c_contiguous
+        assert np.all(g[np.tril_indices(n, -1)] == 0.0)
+        inv = f.inverse()
+        assert np.linalg.norm(g @ g.T - inv) <= 1e-12 * np.linalg.norm(inv)
+        np.testing.assert_array_equal(f.solve(rhs), x)
+        assert f.logdet() == logdet
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
     def test_draws_equal_tril_form(self, n, layout):
         rng = np.random.default_rng(200 + n)
         a = layouts(symmetric_spd(n, rng))[layout]
