@@ -337,7 +337,8 @@ def _cmd_deblur(args) -> int:
             estimate = res.x_mean
             nu = float(np.mean(res.nu_trace[res.burn_in:]))
             lam = float(np.mean(res.lam_trace[res.burn_in:]))
-            iterations, converged = res.n_sweeps, True
+            # the chain runs no convergence test, so none is reported
+            iterations, converged = res.n_sweeps, None
             for tag, tr in (("nu_trace", res.nu_trace),
                             ("lambda_trace", res.lam_trace)):
                 path = _out_path(args.out_prefix, f"_{tag}.csv")

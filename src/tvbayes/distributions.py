@@ -2,16 +2,18 @@
 
 The GIG density used throughout is
 
-    p(x) = (a/b)^(p/2) / (2 K_p(sqrt(ab))) * x^(p-1) * exp(-(a*x + b/x)/2),
+    p(x) = x^(p-1) * exp(-(a*x + b/x)/2) / Z(a, b, p)
 
-on x > 0, where K_p is the modified Bessel function of the second kind.
-Admissible parameter triples:
+on x > 0. Admissible parameter triples are those where Z is finite:
 
     a > 0, b >= 0, p > 0;   a > 0, b > 0, p = 0;   a >= 0, b > 0, p < 0.
 
-At b = 0 the family degenerates to Gamma(p, a/2) and at a = 0 to
-InvGamma(-p, b/2); the Bessel-ratio formulas are 0/0 there, so every
-operation dispatches to the closed gamma forms for those triples.
+The normalising constant Z is written once, in :func:`_gig_log_z`, in its
+Gamma (b = 0), inverse-gamma (a = 0) and Bessel forms. The density, the
+moments E(X^q) = Z(a, b, p+q) / Z(a, b, p) and the variance are built on
+it, so E(X^q) exists exactly when (a, b, p+q) is an admissible triple
+(Jorgensen, Statistical Properties of the Generalized Inverse Gaussian
+Distribution, 1982).
 """
 
 from __future__ import annotations
@@ -163,66 +165,71 @@ def log_bessel_k(p, x):
 
 
 # ---------------------------------------------------------------------------
-# GIG density, moments, mode, variance
+# GIG normalising constant, density, moments, mode, variance
 # ---------------------------------------------------------------------------
 
+def _gig_regime(a: float, b: np.ndarray) -> str:
+    """Form of Z shared by GIG(a, b_i, p) over a batch of ``b``: "inv_gamma"
+    at a = 0 (needs b > 0), "gamma" when every b is 0, else "bessel" (needs
+    b > 0, so mixed zero and positive b raise :class:`GigParameterError`)."""
+    if a == 0.0:
+        if np.any(b <= 0):
+            raise GigParameterError("GIG(a=0, b, p) needs b > 0 everywhere")
+        return "inv_gamma"
+    if np.all(b == 0.0):
+        return "gamma"
+    if np.any(b <= 0):
+        raise GigParameterError("mixed zero/positive b in a batched GIG call")
+    return "bessel"
+
+
+def _gig_log_z(a: float, b, p: float):
+    """log Z(a, b_i, p) per entry of ``b``, where
+
+        Z(a, b, p) = int_0^inf x^(p-1) exp(-(a x + b/x)/2) dx
+                   = Gamma(p) (2/a)^p               (b = 0, p > 0)
+                   = Gamma(-p) (2/b)^(-p)           (a = 0, p < 0)
+                   = 2 (b/a)^(p/2) K_p(sqrt(a b))   (a, b > 0).
+
+    Raises :class:`MomentDivergesError` where the integral diverges: b = 0
+    with p <= 0, or a = 0 with p >= 0.
+    """
+    b = np.asarray(b, dtype=float)
+    regime = _gig_regime(a, b)
+    if (regime == "gamma" and p <= 0) or (regime == "inv_gamma" and p >= 0):
+        raise MomentDivergesError(f"moment diverges: Z(a={a}, b, p={p}) is "
+                                  "infinite (needs p > 0 at b = 0, p < 0 at "
+                                  "a = 0)")
+    if regime == "gamma":
+        return np.full(b.shape, special.gammaln(p) - p * math.log(a / 2.0))
+    if regime == "inv_gamma":
+        return special.gammaln(-p) + p * np.log(b / 2.0)
+    return math.log(2.0) + 0.5 * p * (np.log(b) - math.log(a)) \
+        + log_bessel_k(p, np.sqrt(a * b))
+
+
 def gig_log_pdf(params: GigParams, x: float) -> float:
-    """Log-density of GIG(a, b, p) at x > 0."""
+    """Log-density (p-1) log x - (a x + b/x)/2 - log Z of GIG(a, b, p) at
+    x > 0."""
     if not x > 0:
         raise ValueError(f"gig_log_pdf requires x > 0, got {x}")
     a, b, p = params.a, params.b, params.p
-    lx = math.log(x)
-    if b == 0.0:
-        # Gamma(p, a/2)
-        beta = a / 2.0
-        return p * math.log(beta) - special.gammaln(p) + (p - 1.0) * lx - beta * x
-    if a == 0.0:
-        # InvGamma(-p, b/2)
-        alpha, beta = -p, b / 2.0
-        return alpha * math.log(beta) - special.gammaln(alpha) \
-            - (alpha + 1.0) * lx - beta / x
-    z = math.sqrt(a * b)
-    log_norm = 0.5 * p * (math.log(a) - math.log(b)) - math.log(2.0) \
-        - log_bessel_k(p, z)
-    return log_norm + (p - 1.0) * lx - 0.5 * (a * x + b / x)
+    return float((p - 1.0) * math.log(x) - 0.5 * (a * x + b / x)
+                 - _gig_log_z(a, b, p))
 
 
 def gig_moment(params: GigParams, q: float) -> float:
-    """E(X^q) for X ~ GIG(a, b, p).
+    """E(X^q) = Z(a, b, p+q) / Z(a, b, p) for X ~ GIG(a, b, p).
 
-    Uses the Bessel-ratio formula (b/a)^(q/2) K_{p+q}(sqrt(ab)) / K_p(sqrt(ab))
-    for a, b > 0 and the Gamma/InvGamma closed forms on the boundary.
-    Raises :class:`MomentDivergesError` when the moment does not exist.
+    The moment exists exactly when (a, b, p+q) is an admissible triple;
+    otherwise, or when the value overflows, raises
+    :class:`MomentDivergesError`.
     """
     a, b, p = params.a, params.b, params.p
-    if q == 0:
-        return 1.0
-    if b == 0.0:
-        # Gamma(p, a/2): E(X^q) = Gamma(p+q)/Gamma(p) * (a/2)^(-q), needs p+q > 0
-        if p + q <= 0:
-            raise MomentDivergesError(
-                f"moment q={q} of Gamma({p}, {a / 2}) diverges (needs q > {-p})"
-            )
-        val = math.exp(special.gammaln(p + q) - special.gammaln(p)
-                       - q * math.log(a / 2.0))
-    elif a == 0.0:
-        # InvGamma(-p, b/2): E(X^q) = (b/2)^q Gamma(-p-q)/Gamma(-p), needs -p-q > 0
-        alpha, beta = -p, b / 2.0
-        if alpha - q <= 0:
-            raise MomentDivergesError(
-                f"moment q={q} of InvGamma({alpha}, {beta}) diverges "
-                f"(needs q < {alpha})"
-            )
-        val = math.exp(q * math.log(beta) + special.gammaln(alpha - q)
-                       - special.gammaln(alpha))
-    else:
-        z = math.sqrt(a * b)
-        val = math.exp(0.5 * q * (math.log(b) - math.log(a))
-                       + log_bessel_k(p + q, z) - log_bessel_k(p, z))
+    val = float(np.exp(_gig_log_z(a, b, p + q) - _gig_log_z(a, b, p)))
     if not math.isfinite(val):
         raise MomentDivergesError(
-            f"moment q={q} of GIG({a}, {b}, {p}) is non-finite"
-        )
+            f"moment q={q} of GIG({a}, {b}, {p}) is non-finite")
     return val
 
 
@@ -242,29 +249,9 @@ def gig_mode_batch(a: float, b: np.ndarray, p: float) -> np.ndarray:
 
 
 def gig_variance(params: GigParams) -> float:
-    """Variance of GIG(a, b, p) via the Bessel-ratio formula.
-
-    (b/a) * (K_{p+2}/K_p - (K_{p+1}/K_p)^2) for a, b > 0; gamma-family closed
-    forms on the boundary. Raises :class:`MomentDivergesError` when infinite.
-    """
-    a, b, p = params.a, params.b, params.p
-    if b == 0.0:
-        return p / (a / 2.0) ** 2
-    if a == 0.0:
-        alpha, beta = -p, b / 2.0
-        if alpha <= 2.0:
-            raise MomentDivergesError(
-                f"variance of InvGamma({alpha}, {beta}) diverges (needs alpha > 2)"
-            )
-        return beta ** 2 / ((alpha - 1.0) ** 2 * (alpha - 2.0))
-    z = math.sqrt(a * b)
-    lk0 = log_bessel_k(p, z)
-    r2 = math.exp(log_bessel_k(p + 2.0, z) - lk0)
-    r1 = math.exp(log_bessel_k(p + 1.0, z) - lk0)
-    var = (b / a) * (r2 - r1 * r1)
-    if not math.isfinite(var):
-        raise MomentDivergesError(f"variance of GIG({a}, {b}, {p}) is non-finite")
-    return var
+    """Variance E(X^2) - E(X)^2 of GIG(a, b, p); raises
+    :class:`MomentDivergesError` when E(X^2) does not exist."""
+    return gig_moment(params, 2.0) - gig_moment(params, 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +282,11 @@ def gig_sample_batch(a: float, b: np.ndarray, p: float,
     All b_i must keep the triple admissible.
     """
     b = np.asarray(b, dtype=float)
-    if a == 0.0:
-        if np.any(b <= 0):
-            raise GigParameterError("GIG(a=0, b, p) needs b > 0 everywhere")
+    regime = _gig_regime(a, b)
+    if regime == "inv_gamma":
         return (b / 2.0) / rng.gamma(shape=-p, scale=1.0, size=b.shape)
-    if np.all(b == 0.0):
+    if regime == "gamma":
         return rng.gamma(shape=p, scale=2.0 / a, size=b.shape)
-    if np.any(b <= 0):
-        raise GigParameterError("mixed zero/positive b in a batched GIG draw")
     if p == -0.5:
         # GIG(a, b, -1/2) = InverseGaussian(mu=sqrt(b/a), lambda=b)
         return rng.wald(np.sqrt(b / a), b)
@@ -317,17 +301,10 @@ def gig_inv_moment_batch(a: float, b: np.ndarray, p: float) -> np.ndarray:
     """E(X^{-1}) for X ~ GIG(a, b_i, p), vectorised over b.
 
     The mean-field scale updates need this moment for every latent each
-    sweep; values and existence rules match :func:`gig_moment` (q = -1).
+    sweep; it is :func:`gig_moment`'s ratio at q = -1, with the same
+    existence rule.
     """
-    b = np.asarray(b, dtype=float)
-    if a == 0.0:
-        # InvGamma(-p, b/2): E(X^-1) = alpha/beta
-        return -p / (b / 2.0)
-    if np.any(b <= 0):
-        raise GigParameterError("gig_inv_moment_batch needs b > 0")
-    z = np.sqrt(a * b)
-    ratio = np.exp(log_bessel_k(p - 1.0, z) - log_bessel_k(p, z))
-    return np.sqrt(a / b) * ratio
+    return np.exp(_gig_log_z(a, b, p - 1.0) - _gig_log_z(a, b, p))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +347,10 @@ class MvLaplaceParams:
 
 
 def mvlaplace_log_pdf(params: MvLaplaceParams, x) -> float:
-    """Log-density of the multivariate Laplace ML(mu, Sigma).
+    """Log-density of the multivariate Laplace ML(mu, Sigma), the scale
+    mixture of N(mu, r Sigma) over r ~ Exp(1) = GIG(2, 0, 1):
 
-    pdf = 2 / ((2 pi)^(n/2) |Sigma|^(1/2))
-          * K_{n/2-1}(sqrt(2 s)) / (sqrt(s/2))^(n/2-1),   s = z' Sigma^{-1} z.
+        pdf = (2 pi)^(-n/2) |Sigma|^(-1/2) Z(2, s, 1 - n/2),  s = z' Sigma^-1 z.
 
     For n >= 2 the density diverges at z = 0 (K_0 blow-up); that point
     returns +inf as the singularity marker.
@@ -382,21 +359,14 @@ def mvlaplace_log_pdf(params: MvLaplaceParams, x) -> float:
     n = params.dim
     if x.shape != (n,):
         raise ValueError(f"x shape {x.shape} does not match dimension {n}")
-    z = x - params.mu
     chol = params._chol
-    w = solve_triangular(chol, z, lower=True)
-    s = float(w @ w)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    if n == 1:
-        # exact reduction: Sigma = 2/b^2  =>  Laplace(mu, b)
-        b = math.sqrt(2.0 / params.sigma[0, 0])
-        return laplace1d_log_pdf(0.0, b, float(z[0]))
-    if s == 0.0:
+    w = solve_triangular(chol, x - params.mu, lower=True)
+    try:
+        log_z = float(_gig_log_z(2.0, float(w @ w), 1.0 - 0.5 * n))
+    except MomentDivergesError:
         return math.inf
-    half_order = 0.5 * n - 1.0
-    return (math.log(2.0) - 0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet
-            + log_bessel_k(half_order, math.sqrt(2.0 * s))
-            - half_order * 0.5 * math.log(0.5 * s))
+    return (-0.5 * n * math.log(2.0 * math.pi)
+            - float(np.sum(np.log(np.diag(chol)))) + log_z)
 
 
 def gsm_sample(mu, sigma, mixing: GigParams, rng: np.random.Generator,

@@ -10,8 +10,9 @@
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
 
 All engines share the same data-driven initialisation: x from the adjoint
-of the data, nu and lambda from their update formulas at that point, latent
-scales at the mixing-prior mean.
+of the data, nu as the reciprocal mean squared residual there (not the mode
+of its conditional), latent scales at the mixing-prior mean and lambda at
+the mode of its conditional given those.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ LAMBDA_BOUNDS = (1e-12, 1e12)
 
 def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
     """Scale-free starting point: x0 = H'y, latent scales at the mixing
-    prior mean (mode when the mean diverges), nu and lambda from their
-    update formulas at that point."""
+    prior mean (mode when the mean diverges), nu0 = N / ||y - H x0||^2 (not
+    the mode of the nu conditional) and lambda0 the mode of the lambda
+    conditional at (x0, r0)."""
     y = np.asarray(y, dtype=float)
     x0 = model.blur.rmatvec(y)
     mix = model.prior.mixing()
@@ -317,7 +319,6 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     init.validate(model)
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
-    n_blocks = model.diff.n_blocks if model.prior.layout == "pixel" else 1
 
     hty = model.blur.rmatvec(y)
 
@@ -330,7 +331,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     for it in range(1, opts.maxit + 1):
         iterations = it
         x_prev = x_mean
-        weights = 0.5 * np.tile(e_inv_r, n_blocks)
+        weights = 0.5 * model.latents_to_rows(e_inv_r)
         factor = SpdFactor(x_precision(lam_mean / nu_mean, weights))
         nu_built = nu_mean
         x_mean = factor.solve(hty)

@@ -207,7 +207,7 @@ class RunReport:
     estimator: str
     config: dict
     iterations: int
-    converged: bool
+    converged: bool | None  # None: the estimator has no convergence test
     nu: float | None = None
     lam: float | None = None
     seed: int | None = None

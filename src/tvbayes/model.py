@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .distributions import GigParams
+from .distributions import GigParams, gig_log_pdf
 from .errors import (
     DegenerateConditionalError,
     NonFiniteError,
@@ -199,6 +199,13 @@ class ModelSpec:
             return p - 0.5 * self.diff.n_blocks - 1.0
         return p - 1.5
 
+    def latents_to_rows(self, values: np.ndarray) -> np.ndarray:
+        """Per-latent values spread over the difference rows: repeated over
+        a pixel's rows under the per-pixel layout, as given per edge."""
+        if self.prior.layout == "pixel":
+            return np.tile(values, self.diff.n_blocks)
+        return values
+
     @property
     def r_conditional_index(self) -> float:
         """GIG index of the latent-scale full conditionals."""
@@ -236,9 +243,7 @@ class LatentState:
 def row_weights_from_r(r: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Diagonal of R^{-2} = 1/(2 r_row), expanding per-pixel latents over
     their difference rows."""
-    if model.prior.layout == "pixel":
-        r = np.tile(r, model.diff.n_blocks)
-    return 1.0 / (2.0 * r)
+    return 1.0 / (2.0 * model.latents_to_rows(r))
 
 
 @dataclass
@@ -261,10 +266,7 @@ class GammaParams:
         return self.shape / self.rate ** 2
 
     def log_pdf(self, x: float) -> float:
-        if not x > 0:
-            raise ValueError("gamma log_pdf requires x > 0")
-        return (self.shape * math.log(self.rate) - math.lgamma(self.shape)
-                + (self.shape - 1.0) * math.log(x) - self.rate * x)
+        return gig_log_pdf(GigParams(2.0 * self.rate, 0.0, self.shape), x)
 
 
 @dataclass

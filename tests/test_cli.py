@@ -120,6 +120,8 @@ class TestDeblur:
         nu_trace = read_signal_csv(out + "_nu_trace.csv")
         lam_trace = read_signal_csv(out + "_lambda_trace.csv")
         assert nu_trace.shape == lam_trace.shape == (240,)  # 20% burn-in
+        report = RunReport.from_json(out + "_report.json")
+        assert report.converged is None  # Gibbs runs no convergence test
 
     def test_gibbs_deterministic(self, problem, tmp_path):
         outs = []

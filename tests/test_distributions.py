@@ -267,14 +267,52 @@ class TestGigMoments:
         with pytest.raises(MomentDivergesError):
             gig_moment(GigParams(0, 2, -1), 1)  # InvGamma(1,1) mean diverges
 
+    @pytest.mark.parametrize("a,b,p", ALL_TRIPLES)
+    def test_exists_iff_shifted_triple_admissible(self, a, b, p):
+        # E(X^q) = Z(a, b, p+q) / Z(a, b, p) exists exactly when
+        # (a, b, p+q) is itself an admissible GIG triple
+        params = GigParams(a, b, p)
+        for q in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
+            try:
+                GigParams(a, b, p + q)
+            except GigParameterError:
+                with pytest.raises(MomentDivergesError):
+                    gig_moment(params, q)
+            else:
+                assert math.isfinite(gig_moment(params, q)), q
+
     def test_inv_moment_batch_matches_scalar(self):
         b = np.array([0.3, 1.0, 7.5])
         got = gig_inv_moment_batch(2.0, b, 0.5)
         want = [gig_moment(GigParams(2.0, bi, 0.5), -1) for bi in b]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_array_equal(got, want)
         got0 = gig_inv_moment_batch(0.0, b, -2.0)
         want0 = [gig_moment(GigParams(0.0, bi, -2.0), -1) for bi in b]
-        np.testing.assert_allclose(got0, want0, rtol=1e-12)
+        np.testing.assert_array_equal(got0, want0)
+
+    def test_inv_moment_batch_gamma_form(self):
+        # all-zero b: Gamma(p, a/2), whose E(1/X) = (a/2)/(p-1) needs p > 1
+        b = np.zeros(4)
+        for a, p in [(4.0, 3.0), (3.0, 2.5), (2.0, 1.5)]:
+            got = gig_inv_moment_batch(a, b, p)
+            assert got == pytest.approx(np.full(4, a / 2.0 / (p - 1.0)),
+                                        rel=1e-14)
+            np.testing.assert_array_equal(
+                got, gig_moment(GigParams(a, 0.0, p), -1))
+        for p in (1.0, 0.5):
+            with pytest.raises(MomentDivergesError):
+                gig_inv_moment_batch(2.0, b, p)
+
+    @pytest.mark.parametrize("a,b", [
+        (2.0, [0.0, 1.0, 2.0]),   # mixed zero and positive b
+        (0.0, [0.0, 1.0, 2.0]),   # a = 0 needs b > 0 everywhere
+        (2.0, [1.0, -1.0, 2.0]),
+    ])
+    def test_batch_rejects_inadmissible_b(self, a, b):
+        with pytest.raises(GigParameterError):
+            gig_inv_moment_batch(a, np.array(b), -0.5)
+        with pytest.raises(GigParameterError):
+            gig_sample_batch(a, np.array(b), -0.5, np.random.default_rng(0))
 
 
 class TestGigMode:

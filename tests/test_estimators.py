@@ -340,8 +340,7 @@ class TestVbCovariance:
         model, _, y = image_problem(k=6, prior=prior)
         s = initial_state(y, model)
         res = vb_run(y, model, VbOptions(maxit=1, init=s))
-        n_blocks = model.diff.n_blocks if prior.layout == "pixel" else 1
-        w0 = 0.5 * np.tile(1.0 / s.r, n_blocks)
+        w0 = 0.5 * model.latents_to_rows(1.0 / s.r)
         q = dense_gram(model.blur, model.diff)(s.lam / s.nu, w0)
         assert np.array_equal(res.x_cov, SpdFactor(q).inverse() / s.nu)
 

@@ -76,6 +76,19 @@ class TestStateValidation:
         assert make_model(prior=Laplace2D()).n_latents == 9
         assert make_model(k=1, n=8, prior=LaplaceTV()).n_latents == 8
 
+    def test_latents_to_rows_per_layout(self):
+        # a per-pixel latent covers its pixel's row in both difference
+        # blocks; a per-edge latent is its own row
+        pooled = make_model(prior=Laplace2D())
+        r = np.arange(1.0, 10.0)
+        assert np.array_equal(pooled.latents_to_rows(r), np.concatenate([r, r]))
+        assert np.array_equal(row_weights_from_r(r, pooled),
+                              1.0 / (2.0 * np.concatenate([r, r])))
+        edged = make_model(prior=LaplaceTV())
+        r = np.arange(1.0, 19.0)
+        assert np.array_equal(edged.latents_to_rows(r), r)
+        assert np.array_equal(row_weights_from_r(r, edged), 1.0 / (2.0 * r))
+
 
 class TestRankCondition:
     def test_build_validates(self):
