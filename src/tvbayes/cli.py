@@ -178,12 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    two_d = args.kind in KINDS_2D
     sigma = _default_sigma(args.kernel_size, args.sigma)
     kernel = gaussian_kernel(args.kernel_size, sigma)
     rng = np.random.default_rng(args.seed)
 
-    if two_d:
+    if args.kind in KINDS_2D:
         img = make_image_2d(args.kind, args.size)
         k = img.shape[0]
         lattice = LatticeSpec(k, k)
@@ -197,15 +196,9 @@ def _cmd_simulate(args) -> int:
     blurred = model.blur.matvec(truth)
     noisy, noise_sigma = add_noise_bsnr(blurred, args.bsnr, rng)
 
-    outputs = {}
-    ext = ".pgm" if two_d else ".csv"
-    for name, vec in (("truth", truth), ("blurred", blurred), ("noisy", noisy)):
-        path = _out_path(args.out_prefix, f"_{name}{ext}")
-        if two_d:
-            write_pgm(path, lattice.to_grid(vec))
-        else:
-            write_signal_csv(path, vec)
-        outputs[name] = path
+    outputs = {name: _write_field(args.out_prefix, name, lattice, vec)
+               for name, vec in (("truth", truth), ("blurred", blurred),
+                                 ("noisy", noisy))}
 
     sidecar = {
         "schema_version": SIDECAR_SCHEMA_VERSION,
@@ -247,6 +240,37 @@ def _load_field(path: str):
                           "(expected .csv or .pgm)")
 
 
+def _write_field(prefix: str, tag: str, lattice: LatticeSpec,
+                 vec: np.ndarray) -> str:
+    """Write ``<prefix>_<tag>`` as a .pgm image on a 2-D lattice and as a
+    .csv signal on a 1-D one; returns the path."""
+    if lattice.k > 1:
+        path = _out_path(prefix, f"_{tag}.pgm")
+        write_pgm(path, lattice.to_grid(vec))
+    else:
+        path = _out_path(prefix, f"_{tag}.csv")
+        write_signal_csv(path, vec)
+    return path
+
+
+def _read_sidecar(path: str) -> tuple[int, float]:
+    """Kernel size and sigma from a simulate sidecar."""
+    with open(path, encoding="ascii") as fh:
+        side = json.load(fh)
+    if not isinstance(side, dict):
+        raise FileFormatError(f"sidecar {path!r} is not a JSON object")
+    size, sigma = side.get("kernel_size"), side.get("kernel_sigma")
+    # JSON true and false load as bools, which are ints to isinstance
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise FileFormatError(f"sidecar kernel_size must be a JSON integer, "
+                              f"got {size!r}")
+    if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+            or not math.isfinite(sigma)):
+        raise FileFormatError(f"sidecar kernel_sigma must be a JSON number, "
+                              f"got {sigma!r}")
+    return size, float(sigma)
+
+
 def _build_prior(args):
     if args.prior == "laplace":
         return LaplaceTV(safeguard_b=args.safeguard_b)
@@ -268,10 +292,7 @@ def _cmd_deblur(args) -> int:
         metrics(y, truth)  # a truth that cannot be scored fails here
     kernel_size, sigma = args.kernel_size, args.sigma
     if args.sidecar is not None:
-        with open(args.sidecar, encoding="ascii") as fh:
-            side = json.load(fh)
-        kernel_size = int(side["kernel_size"])
-        sigma = float(side["kernel_sigma"])
+        kernel_size, sigma = _read_sidecar(args.sidecar)
     sigma = _default_sigma(kernel_size, sigma)
     kernel = gaussian_kernel(kernel_size, sigma)
     hyper = HyperParams(args.alpha_lambda, args.beta_lambda,
@@ -279,7 +300,6 @@ def _cmd_deblur(args) -> int:
     model = ModelSpec.build(lattice, kernel, hyper=hyper,
                             prior=_build_prior(args))
 
-    two_d = lattice.k > 1
     config = {
         "input": args.input, "method": args.method, "prior": args.prior,
         "safeguard_b": args.safeguard_b, "dof": args.dof,
@@ -292,16 +312,6 @@ def _cmd_deblur(args) -> int:
         "seed": args.seed, "delta": args.delta,
     }
     outputs = {}
-
-    def save_field(tag: str, vec: np.ndarray) -> str:
-        ext = ".pgm" if two_d else ".csv"
-        path = _out_path(args.out_prefix, f"_{tag}{ext}")
-        if two_d:
-            write_pgm(path, lattice.to_grid(vec))
-        else:
-            write_signal_csv(path, vec)
-        outputs[tag] = path
-        return path
 
     with Stopwatch() as clock:
         if args.method == "ias":
@@ -352,7 +362,8 @@ def _cmd_deblur(args) -> int:
             iterations, converged = 0, True
             extra = {}
 
-        save_field("estimate", estimate)
+        outputs["estimate"] = _write_field(args.out_prefix, "estimate",
+                                           lattice, estimate)
 
     run_metrics = None
     if truth is not None:

@@ -237,6 +237,9 @@ def ias_run(y: np.ndarray, model: ModelSpec,
             step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
 
         r = _r_mode_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond, it)
+        # freed before the next sweep's CG solve, where the run's peak
+        # memory is
+        del resid, dx2
 
         logpost = log_posterior(LatentState(x, nu, lam, r), y, model)
         if opts.record_substeps:

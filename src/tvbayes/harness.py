@@ -375,9 +375,15 @@ def read_signal_csv(path) -> np.ndarray:
         except StopIteration:
             raise FileFormatError("empty CSV file", offset=0) from None
         try:
-            return np.array([float(row[0]) for row in reader if row])
+            values = np.array([float(row[0]) for row in reader if row])
         except (ValueError, IndexError) as exc:
             raise FileFormatError(f"malformed CSV row: {exc}") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FileFormatError(f"non-finite CSV value {float(values[bad])} "
+                              f"at data row {bad + 1}")
+    return values
 
 
 def write_table_csv(path, header: list[str], rows):

@@ -7,17 +7,15 @@ Joint density over (x, nu, lambda, r) given data y, up to normalisation:
              - a/2 sum r - b/2 sum 1/r - b_l lambda - b_n nu )
 
 with N pixels, M difference rows, R^{-2} = diag(1/(2 r_row)) and (a, b, p)
-the mixing-density triple of the prior variant. The per-latent exponent rho
-and the way latents map to difference rows depend on the variant's layout:
+the mixing-density triple of the prior variant. Each of the M/L latents
+scales L difference rows: L = 1 under the per-edge layout (one latent per
+row), and L is the number of difference blocks under the per-pixel layout
+(one latent shared by a pixel's rows). Every latent has exponent
+rho = p - L/2 - 1 and conditional GIG index p - L/2.
 
-* per-edge (one latent per difference row): rho = p - 3/2, conditional GIG
-  index p - 1/2;
-* per-pixel (one latent shared by a pixel's L difference rows): rho =
-  p - L/2 - 1, conditional GIG index p - L/2.
-
-On the usual 2-D lattice M = 2N and L = 2, which recovers the familiar
-lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D signals
-(M = N, L = 1) without special cases.
+On the usual 2-D lattice M = 2N and the per-pixel L = 2, which recovers the
+familiar lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D
+signals (M = N, L = 1 in both layouts) without special cases.
 
 The nu, lambda and latent-scale conditional formulas live only in three
 builders: :func:`nu_conditional`, :func:`lambda_conditional` and
@@ -180,8 +178,14 @@ class ModelSpec:
         return self.diff.n_rows
 
     @property
+    def rows_per_latent(self) -> int:
+        """L, the difference rows each latent scales: 1 per edge, one per
+        difference block per pixel."""
+        return self.diff.n_blocks if self.prior.layout == "pixel" else 1
+
+    @property
     def n_latents(self) -> int:
-        return self.n_pixels if self.prior.layout == "pixel" else self.n_rows
+        return self.n_rows // self.rows_per_latent
 
     @property
     def lambda_shape(self) -> float:
@@ -194,25 +198,17 @@ class ModelSpec:
     @property
     def r_exponent(self) -> float:
         """Power of each latent in the joint posterior."""
-        p = self.prior.mixing().p
-        if self.prior.layout == "pixel":
-            return p - 0.5 * self.diff.n_blocks - 1.0
-        return p - 1.5
+        return self.r_conditional_index - 1.0
 
     def latents_to_rows(self, values: np.ndarray) -> np.ndarray:
-        """Per-latent values spread over the difference rows: repeated over
-        a pixel's rows under the per-pixel layout, as given per edge."""
-        if self.prior.layout == "pixel":
-            return np.tile(values, self.diff.n_blocks)
-        return values
+        """Per-latent values spread over the difference rows, each repeated
+        over its L rows."""
+        return np.tile(values, self.rows_per_latent)
 
     @property
     def r_conditional_index(self) -> float:
         """GIG index of the latent-scale full conditionals."""
-        p = self.prior.mixing().p
-        if self.prior.layout == "pixel":
-            return p - 0.5 * self.diff.n_blocks
-        return p - 0.5
+        return self.prior.mixing().p - 0.5 * self.rows_per_latent
 
 
 @dataclass
@@ -306,12 +302,10 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
                     check: bool = True) -> np.ndarray:
     """Second GIG parameter b' = lambda/2 * (squared difference) + b of
     every latent-scale conditional, from each row's squared difference (or
-    its expectation), pooling a pixel's rows under the per-pixel layout.
+    its expectation), pooling each latent's L rows.
     With ``check`` a zero b' (exact b = 0 mixing only) raises; callers that
     need one latent check just that one."""
-    if model.prior.layout == "pixel":
-        sq_diffs = sq_diffs.reshape(model.diff.n_blocks,
-                                    model.n_pixels).sum(axis=0)
+    sq_diffs = sq_diffs.reshape(model.rows_per_latent, -1).sum(axis=0)
     bprime = 0.5 * lam * sq_diffs + model.prior.mixing().b
     if check and np.any(bprime == 0.0):
         raise _degenerate(f"{int(np.sum(bprime == 0.0))} latent-scale "

@@ -8,9 +8,10 @@ directions.
 The difference operator D stacks a horizontal block (x[i, j+1] - x[i, j])
 over a vertical block (x[i+1, j] - x[i, j]); a block whose lattice
 dimension is 1 would be identically zero and is dropped, so a 1-D signal
-gets the plain circulant first-difference matrix. D and D' are applied as
-periodic shifted differences on the grid; the +1/-1 column indices of each
-row are kept for the dense paths.
+gets the plain circulant first-difference matrix. All of D's geometry is
+one step table of grid slices (see ``DiffOperator``); D, D', the row
+quadratic of VB and the +1/-1 column indices of the dense paths each loop
+over it.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip.
@@ -102,29 +103,39 @@ class LatticeSpec:
 class DiffOperator:
     """Periodic first-difference operator over a lattice.
 
-    Each row has one +1 and one -1 entry; the row set is the horizontal
-    block followed by the vertical block. Sparse storage is two index
-    arrays (``pos_idx``, ``neg_idx``) per row, used by the dense paths;
-    ``matvec`` and ``rmatvec`` work on the grid instead.
+    The step table views a stacked vector as the n x k array g[j, i]: the
+    horizontal block steps along axis 0, the vertical one along axis 1.
+    Per kept block it holds the (ahead, here) slices of the interior rows
+    ([1:], [:-1]) and of the wrapped edge row ([:1], [-1:]) on that axis.
+    Those rows are g[ahead] - g[here], stored at ``here`` in the block;
+    ``pos_idx``/``neg_idx`` hold each row's +1 and -1 pixel.
     """
+
+    # the blocks in row order, each with the axis of g it steps along
+    _BLOCK_AXES = (("h", 0), ("v", 1))
 
     def __init__(self, lattice: LatticeSpec):
         self.lattice = lattice
-        k, n, N = lattice.k, lattice.n, lattice.size
-        s = np.arange(N)
-        i, j = s % k, s // k
-        pos_blocks, neg_blocks, blocks = [], [], []
-        if n >= 2:  # horizontal differences x[i, j+1] - x[i, j]
-            pos_blocks.append(((j + 1) % n) * k + i)
-            neg_blocks.append(s.copy())
-            blocks.append("h")
-        if k >= 2:  # vertical differences x[i+1, j] - x[i, j]
-            pos_blocks.append(j * k + (i + 1) % k)
-            neg_blocks.append(s.copy())
-            blocks.append("v")
-        self.blocks: tuple[str, ...] = tuple(blocks)
-        self.pos_idx = np.concatenate(pos_blocks)
-        self.neg_idx = np.concatenate(neg_blocks)
+        self._grid = (lattice.n, lattice.k)
+        kept = [(name, axis) for name, axis in self._BLOCK_AXES
+                if self._grid[axis] >= 2]
+        self.blocks: tuple[str, ...] = tuple(name for name, _ in kept)
+        self._axes = tuple(axis for _, axis in kept)
+        self._rows = (len(kept), *self._grid)
+        steps = []
+        for b, axis in enumerate(self._axes):
+            lead = (slice(None),) * axis
+            for ahead, here in ((np.s_[1:], np.s_[:-1]),
+                                (np.s_[:1], np.s_[-1:])):
+                steps.append((lead + (ahead,), lead + (here,),
+                              (b, *lead, here)))
+        self._steps = tuple(steps)
+        pixels = np.arange(lattice.size).reshape(self._grid)
+        pos = np.empty(self._rows, dtype=pixels.dtype)
+        for ahead, _, row in self._steps:
+            pos[row] = pixels[ahead]
+        self.pos_idx = pos.ravel()
+        self.neg_idx = np.tile(pixels.ravel(), len(kept))
 
     @property
     def n_rows(self) -> int:
@@ -137,37 +148,25 @@ class DiffOperator:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """D x, written into ``out`` (length ``n_rows``) when given."""
         x = np.asarray(x, dtype=float)
-        k, n = self.lattice.k, self.lattice.n
         if out is None:
             out = np.empty(self.n_rows)
-        rows = out.reshape(self.n_blocks, self.lattice.size)
-        if "h" in self.blocks:  # pixel (i, j+1) is k places on in the stack
-            h = rows[0]
-            np.subtract(x[k:], x[:-k], out=h[:-k])
-            np.subtract(x[:k], x[-k:], out=h[-k:])
-        if "v" in self.blocks:  # row i+1 wraps within each stacked column
-            g, v = x.reshape(n, k), rows[-1].reshape(n, k)
-            np.subtract(g[:, 1:], g[:, :-1], out=v[:, :-1])
-            np.subtract(g[:, :1], g[:, -1:], out=v[:, -1:])
+        g, rows = x.reshape(self._grid), out.reshape(self._rows)
+        for ahead, here, row in self._steps:
+            np.subtract(g[ahead], g[here], out=rows[row])
         return out
 
     def rmatvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """D' w, written into ``out`` (length N) when given."""
-        k, n, N = self.lattice.k, self.lattice.n, self.lattice.size
+        N = self.lattice.size
         w = np.asarray(w, dtype=float).reshape(self.n_blocks, N)
         if out is None:
             out = np.empty(N)
         # a pixel is the +1 entry of the row one step back in each block and
         # the -1 entry of its own row
         out.fill(0.0)
-        if "h" in self.blocks:
-            h = w[0]
-            out[k:] += h[:-k]
-            out[:k] += h[-k:]
-        if "v" in self.blocks:
-            g, p = w[-1].reshape(n, k), out.reshape(n, k)
-            p[:, 1:] += g[:, :-1]
-            p[:, :1] += g[:, -1:]
+        g, rows = out.reshape(self._grid), w.reshape(self._rows)
+        for ahead, _, row in self._steps:
+            g[ahead] += rows[row]
         # the -1 sums need an array of their own beside the +1 sums in out
         # (subtracting the blocks one by one would round differently)
         np.subtract(out, w.sum(axis=0), out=out)
@@ -177,17 +176,14 @@ class DiffOperator:
         """Eigenvalues of D'D on the rfft2 frequency grid.
 
         Each periodic difference block contributes |1 - e^{2 pi i f}|^2
-        = 2 - 2 cos(2 pi f) along its axis; D'D is circulant, so these are
-        exact.
+        = 2 - 2 cos(2 pi f) along its axis (axis 1 - a of the k x (n//2+1)
+        spectrum for axis a of g); D'D is circulant, so these are exact.
         """
-        k, n = self.lattice.k, self.lattice.n
-        fi = np.arange(k) / k
-        fj = np.arange(n // 2 + 1) / n
-        out = np.zeros(self.lattice.rfft_shape)
-        if "h" in self.blocks:
-            out += (2.0 - 2.0 * np.cos(2.0 * np.pi * fj))[None, :]
-        if "v" in self.blocks:
-            out += (2.0 - 2.0 * np.cos(2.0 * np.pi * fi))[:, None]
+        shape = self.lattice.rfft_shape
+        out = np.zeros(shape)
+        for axis in self._axes:
+            f = np.arange(shape[1 - axis]) / self._grid[axis]
+            out += np.expand_dims(2.0 - 2.0 * np.cos(2.0 * np.pi * f), axis)
         return out
 
     def weighted_gram_dense(self, row_weights: np.ndarray) -> np.ndarray:
@@ -204,18 +200,13 @@ class DiffOperator:
 
     def factor_row_quadratic(self, g: np.ndarray) -> np.ndarray:
         """diag(D G G' D') for a dense N x N G: per row (p, q) of D,
-        |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over shifted row
-        slices of G as in ``matvec`` (no D G is formed)."""
-        k, n = self.lattice.k, self.lattice.n
+        |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over the step
+        table's row slices of G as in ``matvec`` (no D G is formed)."""
+        g3 = g.reshape(*self._grid, -1)
         dots = np.empty(self.n_rows)
-        rows = dots.reshape(self.n_blocks, self.lattice.size)
-        if "h" in self.blocks:
-            np.einsum("ij,ij->i", g[k:], g[:-k], out=rows[0, :-k])
-            np.einsum("ij,ij->i", g[:k], g[-k:], out=rows[0, -k:])
-        if "v" in self.blocks:
-            g3, v = g.reshape(n, k, -1), rows[-1].reshape(n, k)
-            np.einsum("jil,jil->ji", g3[:, 1:], g3[:, :-1], out=v[:, :-1])
-            np.einsum("jl,jl->j", g3[:, 0], g3[:, -1], out=v[:, -1])
+        rows = dots.reshape(self._rows)
+        for ahead, here, row in self._steps:
+            np.einsum("jil,jil->ji", g3[ahead], g3[here], out=rows[row])
         sq = np.einsum("ij,ij->i", g, g)
         return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots
 

@@ -178,6 +178,56 @@ class TestDeblur:
                    "--truth", path, "--out-prefix", str(tmp_path / "bt"))
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["tikhonov", "ias", "vb"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_exit_code(self, problem, tmp_path, method,
+                                        value):
+        y = read_signal_csv(problem + "_noisy.csv")
+        y[10] = value
+        path = str(tmp_path / "bad_input.csv")
+        write_signal_csv(path, y)
+        code = run("deblur", "--input", path, "--method", method,
+                   "--sidecar", problem + "_sim.json",
+                   "--out-prefix", str(tmp_path / "bi"))
+        assert code == 2
+        assert not (tmp_path / "bi_report.json").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_truth_exit_code(self, problem, tmp_path, value):
+        truth = read_signal_csv(problem + "_truth.csv")
+        truth[3] = value
+        path = str(tmp_path / "bad_truth.csv")
+        write_signal_csv(path, truth)
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "tikhonov", "--sidecar", problem + "_sim.json",
+                   "--truth", path, "--out-prefix", str(tmp_path / "bt"))
+        assert code == 2
+        assert not (tmp_path / "bt_report.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("kernel_sigma", None), ("kernel_sigma", "1.25"),
+        ("kernel_sigma", True), ("kernel_size", 7.9), ("kernel_size", 5.0),
+        ("kernel_size", "5"), ("kernel_size", True), ("kernel_size", None),
+    ])
+    def test_malformed_sidecar_exit_code(self, problem, tmp_path, key, value):
+        side = json.loads(open(problem + "_sim.json").read())
+        side[key] = value
+        path = tmp_path / "bad_sim.json"
+        path.write_text(json.dumps(side))
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "tikhonov", "--sidecar", str(path),
+                   "--out-prefix", str(tmp_path / "bs"))
+        assert code == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", '"sidecar"', "null"])
+    def test_sidecar_not_an_object_exit_code(self, problem, tmp_path, text):
+        path = tmp_path / "bad_sim.json"
+        path.write_text(text)
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "tikhonov", "--sidecar", str(path),
+                   "--out-prefix", str(tmp_path / "bs"))
+        assert code == 2
+
     def test_missing_input_exit_code(self, tmp_path):
         code = run("deblur", "--input", str(tmp_path / "nothing.csv"),
                    "--method", "ias", "--out-prefix", str(tmp_path / "o"))

@@ -236,6 +236,13 @@ class TestCsv:
         with pytest.raises(FileFormatError):
             read_signal_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"value\n1.0\n{value}\n2.0\n")
+        with pytest.raises(FileFormatError, match="row 2"):
+            read_signal_csv(path)
+
 
 class TestRunReport:
     def test_json_round_trip(self, tmp_path):

@@ -76,6 +76,18 @@ class TestStateValidation:
         assert make_model(prior=Laplace2D()).n_latents == 9
         assert make_model(k=1, n=8, prior=LaplaceTV()).n_latents == 8
 
+    def test_latent_formulas_per_layout(self):
+        # L rows per latent: exponent p - L/2 - 1, conditional index p - L/2
+        mix = GigParams(2.0, 0.001, 1.0)
+        for prior, rows, index in ((CustomGig(mix), 1, 0.5),
+                                   (Laplace2D(mix), 2, 0.0)):
+            model = make_model(prior=prior)
+            assert model.rows_per_latent == rows
+            assert model.r_conditional_index == index
+            assert model.r_exponent == index - 1.0
+        pooled_1d = make_model(k=1, n=8, prior=Laplace2D(mix))
+        assert pooled_1d.rows_per_latent == 1
+
     def test_latents_to_rows_per_layout(self):
         # a per-pixel latent covers its pixel's row in both difference
         # blocks; a per-edge latent is its own row
@@ -304,14 +316,16 @@ class TestCoherence:
 
 
 class TestLaplace2dOn1d:
-    def test_reduces_to_per_edge(self):
+    # a row signal keeps the horizontal block, a column signal the vertical
+    @pytest.mark.parametrize("k,n", [(1, 12), (12, 1)])
+    def test_reduces_to_per_edge(self, k, n):
         # with one difference block the per-pixel pooling is the per-edge
         # model with the same mixing: identical joint density up to a
         # constant and identical conditional index
         rng = np.random.default_rng(11)
         mix = GigParams(2.0, 0.001, 1.0)
-        pooled = make_model(k=1, n=12, prior=Laplace2D(mix))
-        edged = make_model(k=1, n=12, prior=CustomGig(mix))
+        pooled = make_model(k=k, n=n, prior=Laplace2D(mix))
+        edged = make_model(k=k, n=n, prior=CustomGig(mix))
         assert pooled.n_latents == edged.n_latents == 12
         assert pooled.r_conditional_index == edged.r_conditional_index
         assert pooled.r_exponent == edged.r_exponent

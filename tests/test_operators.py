@@ -22,6 +22,9 @@ from tvbayes.operators import (
 
 # 1-D row and column signals, a non-square grid and a square one
 LATTICES = [(1, 17), (5, 1), (3, 4), (6, 6)]
+# lattices with a side of 2, on which a wrap row joins the same two pixels
+# as an interior row
+TWO_WIDE = [(2, 2), (2, 3), (3, 2)]
 # the same lattices with a kernel size; (5, 1, 7) and (3, 4, 5) alias the
 # kernel by periodic wrap
 BLUR_CASES = [(1, 17, 5), (5, 1, 7), (3, 4, 5), (6, 6, 3)]
@@ -135,7 +138,7 @@ class TestDiffOperator:
         w = rng.normal(size=18)
         np.testing.assert_allclose(d.rmatvec(w), dm.T @ w, atol=1e-13)
 
-    @pytest.mark.parametrize("k,n", LATTICES)
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
     def test_stencils_match_dense(self, k, n):
         d = DiffOperator(LatticeSpec(k, n))
         dm = d.to_dense()
@@ -146,7 +149,7 @@ class TestDiffOperator:
         assert float(d.matvec(x) @ w) == pytest.approx(
             float(x @ d.rmatvec(w)), abs=1e-12)
 
-    @pytest.mark.parametrize("k,n", LATTICES)
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
     def test_stencils_equal_index_form(self, k, n):
         # the same arithmetic as gathering and scattering by the row indices,
         # allocating and into buffers passed in (twice, so the second call
@@ -167,6 +170,32 @@ class TestDiffOperator:
             assert d.rmatvec(w, out=col) is col
             np.testing.assert_array_equal(col, want_dtw)
 
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
+    def test_row_indices_equal_index_notation(self, k, n):
+        # row s of a block joins pixel s (-1) to the pixel one step on (+1)
+        lat = LatticeSpec(k, n)
+        d = DiffOperator(lat)
+        steps = [(0, 1)] * (n >= 2) + [(1, 0)] * (k >= 2)
+        pos, neg = [], []
+        for di, dj in steps:
+            for j in range(n):
+                for i in range(k):
+                    pos.append(lat.index(i + di, j + dj))
+                    neg.append(lat.index(i, j))
+        np.testing.assert_array_equal(d.pos_idx, pos)
+        np.testing.assert_array_equal(d.neg_idx, neg)
+
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
+    def test_gram_eigenvalues_match_dense(self, k, n):
+        # D'D is circulant, so its rfft2 multiplier applies it exactly
+        lat = LatticeSpec(k, n)
+        d = DiffOperator(lat)
+        dm = d.to_dense()
+        x = np.random.default_rng(15).normal(size=lat.size)
+        spec = np.fft.rfft2(lat.to_grid(x)) * d.gram_eigenvalues()
+        got = lat.to_stacked(np.fft.irfft2(spec, s=(k, n)))
+        np.testing.assert_allclose(got, dm.T @ dm @ x, atol=1e-12)
+
     def test_weighted_gram_dense(self):
         d = DiffOperator(LatticeSpec(3, 4))
         rng = np.random.default_rng(3)
@@ -175,9 +204,7 @@ class TestDiffOperator:
         np.testing.assert_allclose(d.weighted_gram_dense(w),
                                    dm.T @ np.diag(w) @ dm, atol=1e-13)
 
-    # on the 2-wide sides a wrap row joins the same two pixels as the row
-    # before it
-    @pytest.mark.parametrize("k,n", LATTICES + [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
     def test_factor_row_quadratic(self, k, n):
         d = DiffOperator(LatticeSpec(k, n))
         rng = np.random.default_rng(4)
