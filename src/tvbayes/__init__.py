@@ -56,6 +56,7 @@ from .model import (
     ModelSpec,
     StudentTV,
     conditional_params,
+    log_joint,
     log_posterior,
 )
 from .operators import (

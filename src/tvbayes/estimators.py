@@ -12,7 +12,9 @@
 All engines share the same data-driven initialisation: x from the adjoint
 of the data, nu as the reciprocal mean squared residual there (not the mode
 of its conditional), latent scales at the mixing-prior mean and lambda at
-the mode of its conditional given those.
+the mode of its conditional given those. All three engines apply one
+divergence guard, to the starting lambda and after every lambda update:
+outside ``LAMBDA_BOUNDS`` they raise :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .model import (
     LatentState,
     ModelSpec,
     lambda_conditional,
+    log_joint,
     log_posterior,
     nu_conditional,
     r_conditional_b,
@@ -145,7 +148,6 @@ class IasOptions:
     maxit: int = 200
     pcg_tol: float = 1e-8
     init: LatentState | None = None
-    record_substeps: bool = False
 
 
 @dataclass
@@ -159,7 +161,7 @@ class IasState:
     # one row per iteration: (log-posterior, relative x change, nu, lambda)
     trace: np.ndarray
     # (iterations, 4) log-posterior after the x / nu / lambda / r sub-updates
-    substep_logposts: np.ndarray | None = None
+    substep_logposts: np.ndarray
 
     def latent_state(self) -> LatentState:
         return LatentState(self.x.copy(), self.nu, self.lam, self.r.copy())
@@ -197,6 +199,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     Cycles x (CG solve of the penalised normal equations), then nu, lambda
     and the latent scales through their conditional modes, always using the
     newest values. Stops when the relative x change drops below ``tol``.
+    Every sweep scores the joint log-density after each of its four
+    sub-steps (``substep_logposts``); none may lower it.
     """
     opts = opts or IasOptions()
     if opts.maxit < 1 or not opts.tol > 0:
@@ -211,6 +215,9 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     hty = model.blur.rmatvec(y)
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
+    # the caller owns an ``opts.init`` state; otherwise x0 and r0 are freed
+    # before the first CG solve
+    del state
     trace, substeps = [], []
     converged = False
     iterations = 0
@@ -220,21 +227,18 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         weights = row_weights_from_r(r, model)
         x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
                         opts.pcg_tol, x_prev)
-        step_logs = []
-        if opts.record_substeps:
-            step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
-
         resid = y - model.blur.matvec(x)
-        nu = _gamma_mode(nu_conditional(float(resid @ resid), model), "nu", it)
-        if opts.record_substeps:
-            step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
-
+        sq_resid = float(resid @ resid)
         dx2 = model.diff.matvec(x) ** 2
-        lam = _gamma_mode(lambda_conditional(float(np.sum(dx2 * weights)),
-                                             model), "lambda", it)
+        penalty = float(np.sum(dx2 * weights))
+        step_logs = [log_joint(nu, lam, r, sq_resid, penalty, model)]
+
+        nu = _gamma_mode(nu_conditional(sq_resid, model), "nu", it)
+        step_logs.append(log_joint(nu, lam, r, sq_resid, penalty, model))
+
+        lam = _gamma_mode(lambda_conditional(penalty, model), "lambda", it)
         _check_lambda(lam, it)
-        if opts.record_substeps:
-            step_logs.append(log_posterior(LatentState(x, nu, lam, r), y, model))
+        step_logs.append(log_joint(nu, lam, r, sq_resid, penalty, model))
 
         r = _r_mode_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond, it)
         # freed before the next sweep's CG solve, where the run's peak
@@ -242,9 +246,7 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         del resid, dx2
 
         logpost = log_posterior(LatentState(x, nu, lam, r), y, model)
-        if opts.record_substeps:
-            step_logs.append(logpost)
-            substeps.append(step_logs)
+        substeps.append(step_logs + [logpost])
         rel = float(np.linalg.norm(x - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
         trace.append((logpost, rel, nu, lam))
@@ -254,8 +256,7 @@ def ias_run(y: np.ndarray, model: ModelSpec,
 
     return IasState(
         x=x, nu=nu, lam=lam, r=r, iterations=iterations, converged=converged,
-        trace=np.asarray(trace),
-        substep_logposts=np.asarray(substeps) if opts.record_substeps else None)
+        trace=np.asarray(trace), substep_logposts=np.asarray(substeps))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
 
     init = opts.init if opts.init is not None else initial_state(y, model)
     init.validate(model)
+    _check_lambda(init.lam, 0)
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
 
@@ -433,6 +435,7 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     rng = np.random.default_rng(opts.seed)
     state = opts.init if opts.init is not None else initial_state(y, model)
     state.validate(model)
+    _check_lambda(state.lam, 0)
 
     mix = model.prior.mixing()
     p_cond = model.r_conditional_index
@@ -458,6 +461,7 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
         dx2 = model.diff.matvec(x) ** 2
         cond = lambda_conditional(float(np.sum(dx2 * weights)), model)
         lam = float(rng.gamma(cond.shape, 1.0 / cond.rate))
+        _check_lambda(lam, sweep + 1)
         r = gig_sample_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond,
                              rng)
 

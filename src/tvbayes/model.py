@@ -17,6 +17,12 @@ On the usual 2-D lattice M = 2N and the per-pixel L = 2, which recovers the
 familiar lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D
 signals (M = N, L = 1 in both layouts) without special cases.
 
+The joint density is written once, in :func:`log_joint`, as six named
+blocks over nu, lambda, the latent scales and the two statistics of x
+(||y - Hx||^2 and ||R^{-1} D x||^2); :func:`log_posterior` forms those
+statistics at a state and returns its value, and IAS scores its sweep
+sub-steps with it directly.
+
 The nu, lambda and latent-scale conditional formulas live only in three
 builders: :func:`nu_conditional`, :func:`lambda_conditional` and
 :func:`r_conditional_b`. Each engine computes their statistics and reads
@@ -58,6 +64,7 @@ __all__ = [
     "LatentState",
     "GammaParams",
     "GaussianParams",
+    "log_joint",
     "log_posterior",
     "conditional_params",
     "nu_conditional",
@@ -313,16 +320,11 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
     return bprime
 
 
-def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
-    """Joint log-density at the state, up to the normalising constant.
-
-    Raises :class:`NonFiniteError` identifying the offending block when any
-    term is not finite.
-    """
-    state.validate(model)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.n_pixels,):
-        raise ValueError(f"y must have length {model.n_pixels}")
+def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
+              weighted_sq_diff: float, model: ModelSpec) -> float:
+    """Joint log-density up to normalisation, from nu, lambda, r and the
+    statistics ||y - Hx||^2 and ||R^{-1} D x||^2. Raises
+    :class:`NonFiniteError` naming the block when any term is not finite."""
     mix = model.prior.mixing()
     h = model.hyper
 
@@ -333,22 +335,32 @@ def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
         return value
 
     with np.errstate(over="ignore", invalid="ignore"):
-        log_r = np.log(state.r)
-        resid = y - model.blur.matvec(state.x)
-        dx = model.diff.matvec(state.x)
-        weights = row_weights_from_r(state.r, model)
-        total = block((model.lambda_shape - 1.0) * math.log(state.lam)
-                      - h.beta_lambda * state.lam, "lambda hyperprior")
-        total += block((model.nu_shape - 1.0) * math.log(state.nu)
-                       - h.beta_nu * state.nu, "nu hyperprior")
-        total += block(model.r_exponent * float(np.sum(log_r)), "latent exponent")
-        total += block(-0.5 * state.nu * float(resid @ resid), "likelihood")
-        total += block(-0.5 * state.lam * float(np.sum(dx * dx * weights)),
-                       "tv penalty")
-        total += block(-0.5 * mix.a * float(np.sum(state.r))
-                       - 0.5 * mix.b * float(np.sum(1.0 / state.r)),
+        total = block((model.lambda_shape - 1.0) * math.log(lam)
+                      - h.beta_lambda * lam, "lambda hyperprior")
+        total += block((model.nu_shape - 1.0) * math.log(nu)
+                       - h.beta_nu * nu, "nu hyperprior")
+        total += block(model.r_exponent * float(np.sum(np.log(r))),
+                       "latent exponent")
+        total += block(-0.5 * nu * sq_resid, "likelihood")
+        total += block(-0.5 * lam * weighted_sq_diff, "tv penalty")
+        total += block(-0.5 * mix.a * float(np.sum(r))
+                       - 0.5 * mix.b * float(np.sum(1.0 / r)),
                        "latent prior")
     return total
+
+
+def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
+    """:func:`log_joint` at the state, from its residual and penalty."""
+    state.validate(model)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (model.n_pixels,):
+        raise ValueError(f"y must have length {model.n_pixels}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = y - model.blur.matvec(state.x)
+        dx = model.diff.matvec(state.x)
+        penalty = float(np.sum(dx * dx * row_weights_from_r(state.r, model)))
+        return log_joint(state.nu, state.lam, state.r, float(resid @ resid),
+                         penalty, model)
 
 
 def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,

@@ -250,8 +250,7 @@ def test_criterion_06_ias_ascent():
             rng = np.random.default_rng(1000 * vi + seed)
             truth = lattice.to_stacked(random_blocks(8, rng))
             y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0, rng)
-            opts = IasOptions(tol=1e-8, maxit=500, pcg_tol=1e-12,
-                              record_substeps=True)
+            opts = IasOptions(tol=1e-8, maxit=500, pcg_tol=1e-12)
             res = ias_run(y, model, opts)
             assert res.converged
             runs += 1

@@ -243,6 +243,20 @@ class TestDeblur:
                    "--out-prefix", str(tmp_path / "fl"))
         assert code == 5
 
+    @pytest.mark.parametrize("method", [
+        ["ias"], ["gibbs", "--samples", "200", "--seed", "5"]])
+    def test_image_divergence_exit_code(self, tmp_path, method):
+        # a 16x16 image problem whose posterior collapses to a blank image:
+        # both engines stop at the lambda guard
+        prefix = str(tmp_path / "c16")
+        assert run("simulate", "--kind", "blocks42", "--size", "16",
+                   "--kernel-size", "5", "--sigma", "1.25", "--bsnr", "40",
+                   "--seed", "10", "--out-prefix", prefix) == 0
+        code = run("deblur", "--input", prefix + "_noisy.pgm", "--sidecar",
+                   prefix + "_sim.json", "--method", *method,
+                   "--out-prefix", str(tmp_path / "out"))
+        assert code == 5
+
     def test_student_prior_flag(self, problem, tmp_path):
         out = str(tmp_path / "st")
         code = run("deblur", "--input", problem + "_noisy.csv",

@@ -16,7 +16,7 @@ from tvbayes.estimators import (
     tikhonov_baseline,
     vb_run,
 )
-from tvbayes.harness import add_noise_bsnr, make_signal_1d
+from tvbayes.harness import add_noise_bsnr, make_image_2d, make_signal_1d
 from tvbayes.model import (
     HyperParams,
     Laplace2D,
@@ -136,8 +136,7 @@ class TestIasRuns:
     @pytest.mark.parametrize("prior", [LaplaceTV(), StudentTV(2.0), Laplace2D()])
     def test_ascent_8x8(self, prior):
         model, truth, y = image_problem(prior=prior, hyper=STABLE_HYPER)
-        res = ias_run(y, model, IasOptions(pcg_tol=1e-12,
-                                           record_substeps=True))
+        res = ias_run(y, model, IasOptions(pcg_tol=1e-12))
         assert res.converged
         logs = res.substep_logposts.ravel()
         dips = np.diff(logs)
@@ -148,8 +147,7 @@ class TestIasRuns:
         # improper hyperpriors at this size walk into the unbounded lambda
         # direction; the trace must still be monotone up to the guard
         model, truth, y = image_problem(prior=LaplaceTV())
-        res = ias_run(y, model, IasOptions(pcg_tol=1e-12, maxit=3,
-                                           record_substeps=True))
+        res = ias_run(y, model, IasOptions(pcg_tol=1e-12, maxit=3))
         logs = res.substep_logposts.ravel()
         assert np.all(np.diff(logs) >= -1e-8 * np.maximum(1.0,
                                                           np.abs(logs[:-1])))
@@ -181,6 +179,19 @@ class TestIasRuns:
         res = ias_run(y, model)
         assert res.trace.shape == (res.iterations, 4)
 
+    def test_default_run_scores_every_substep(self):
+        # criterion 7's problem with default options: the sub-step record
+        # is always kept, ends each row at the trace's log-posterior and
+        # never dips by more than criterion 6's slack
+        model, _, y = signal_problem(n=100, bsnr=30.0, seed=7)
+        res = ias_run(y, model)
+        logs = res.substep_logposts
+        assert logs.shape == (res.iterations, 4)
+        np.testing.assert_array_equal(logs[:, -1], res.trace[:, 0])
+        flat = logs.ravel()
+        dips = -np.diff(flat) / np.maximum(1.0, np.abs(flat[:-1]))
+        assert np.all(dips <= 1e-8)
+
     def test_divergence_guard(self):
         # near-constant data starves the penalty denominator: lambda blows up
         lattice = LatticeSpec(1, 64)
@@ -190,6 +201,24 @@ class TestIasRuns:
         with pytest.raises(DivergenceError) as exc:
             ias_run(y, model)
         assert exc.value.mode == "blank_image"
+
+
+@pytest.mark.parametrize("lam, mode", [(1e13, "blank_image"),
+                                       (1e-13, "no_op")],
+                         ids=["lam_1e13", "lam_1e-13"])
+@pytest.mark.parametrize("engine", [
+    lambda y, model, init: ias_run(y, model, IasOptions(init=init)),
+    lambda y, model, init: vb_run(y, model, VbOptions(init=init)),
+    lambda y, model, init: gibbs_run(y, model, GibbsOptions(samples=5,
+                                                            init=init)),
+], ids=["ias", "vb", "gibbs"])
+def test_start_lambda_outside_the_guard(engine, lam, mode):
+    model, _, y = signal_problem(n=16)
+    init = initial_state(y, model)
+    init.lam = lam
+    with pytest.raises(DivergenceError) as exc:
+        engine(y, model, init)
+    assert (exc.value.mode, exc.value.iteration) == (mode, 0)
 
 
 class TestSharedConditionals:
@@ -542,6 +571,20 @@ class TestGibbs:
         model = ModelSpec.build(lattice, gaussian_kernel(3, 0.75))
         with pytest.raises(CapacityError):
             gibbs_run(np.zeros(6400), model)
+
+    def test_blank_image_collapse_is_a_divergence(self):
+        # 16x16 blocks at 40 dB under the improper default hyperpriors: the
+        # chain walks into the blank-image mode and must stop at the lambda
+        # guard, before the x-precision loses positive definiteness
+        lattice = LatticeSpec(16, 16)
+        model = ModelSpec.build(lattice, gaussian_kernel(5, 1.25))
+        truth = lattice.to_stacked(make_image_2d("blocks42", 16))
+        y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0,
+                              np.random.default_rng(10))
+        with pytest.raises(DivergenceError) as exc:
+            gibbs_run(y, model, GibbsOptions(seed=5, samples=200))
+        assert exc.value.mode == "blank_image"
+        assert exc.value.iteration >= 1
 
     @pytest.mark.parametrize("opts", [
         GibbsOptions(samples=10, burn_in=-1),

@@ -22,6 +22,7 @@ from tvbayes.model import (
     ModelSpec,
     StudentTV,
     conditional_params,
+    log_joint,
     log_posterior,
     row_weights_from_r,
 )
@@ -175,6 +176,37 @@ class TestLogPosterior:
         with pytest.raises(NonFiniteError) as exc:
             log_posterior(state, y, model)
         assert exc.value.where in ("likelihood", "tv penalty")
+
+    @pytest.mark.parametrize("prior", [LaplaceTV(), StudentTV(w=2.0),
+                                       Laplace2D(),
+                                       CustomGig(GigParams(2.0, 0.01, 0.3))])
+    def test_log_joint_of_the_statistics(self, prior):
+        # log_posterior is log_joint of the state's two statistics, bit for bit
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            model = make_model(k=int(rng.integers(1, 5)),
+                               n=int(rng.integers(2, 5)), prior=prior)
+            state = random_state(model, rng)
+            y = rng.normal(size=model.n_pixels)
+            resid = y - model.blur.matvec(state.x)
+            dx = model.diff.matvec(state.x)
+            penalty = float(np.sum(dx * dx * row_weights_from_r(state.r,
+                                                                 model)))
+            got = log_joint(state.nu, state.lam, state.r,
+                            float(resid @ resid), penalty, model)
+            assert got == log_posterior(state, y, model)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("which, where", [(0, "likelihood"),
+                                              (1, "tv penalty")])
+    def test_log_joint_nonfinite_statistic_is_named(self, bad, which, where):
+        model = make_model()
+        state = random_state(model, np.random.default_rng(12))
+        stats = [1.0, 1.0]
+        stats[which] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            log_joint(state.nu, state.lam, state.r, *stats, model)
+        assert exc.value.where == where
 
 
 class TestConditionals:
