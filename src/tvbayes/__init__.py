@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .distributions import (
     GigParams,
     MvLaplaceParams,
-    bessel_k,
     gig_log_pdf,
     gig_mode,
     gig_moment,

@@ -25,19 +25,11 @@ import numpy as np
 from scipy import special, stats
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    BesselOverflowError,
-    GigParameterError,
-    MomentDivergesError,
-    NotSpdError,
-)
+from .errors import GigParameterError, MomentDivergesError, NotSpdError
 
 __all__ = [
     "GigParams",
-    "SpecialCaseTag",
     "MvLaplaceParams",
-    "classify_gig",
-    "bessel_k",
     "log_bessel_k",
     "gig_log_pdf",
     "gig_moment",
@@ -83,59 +75,9 @@ class GigParams:
             )
 
 
-@dataclass(frozen=True)
-class SpecialCaseTag:
-    """Named reduction of a GIG triple.
-
-    kind is one of "exp", "gamma", "inv_gamma", "rig", "generic"; args holds
-    the conventional parameters of the reduced family:
-    Exp(theta), Gamma(alpha, beta), InvGamma(alpha, beta), RIG(alpha, beta).
-    """
-
-    kind: str
-    args: tuple[float, ...]
-
-
-def classify_gig(params: GigParams) -> SpecialCaseTag:
-    """Map a GIG triple to its conventional special case, if any.
-
-    Gamma(alpha, beta) <-> (a=2*beta, b=0, p=alpha); Exp(theta) is the
-    alpha = 1 gamma; InvGamma(alpha, beta) <-> (a=0, b=2*beta, p=-alpha);
-    RIG(alpha, beta) <-> (a=alpha^2/beta, b=beta, p=1/2).
-    """
-    a, b, p = params.a, params.b, params.p
-    if b == 0.0:
-        if p == 1.0:
-            return SpecialCaseTag("exp", (a / 2.0,))
-        return SpecialCaseTag("gamma", (p, a / 2.0))
-    if a == 0.0:
-        return SpecialCaseTag("inv_gamma", (-p, b / 2.0))
-    if p == 0.5:
-        return SpecialCaseTag("rig", (math.sqrt(a * b), b))
-    return SpecialCaseTag("generic", (a, b, p))
-
-
 # ---------------------------------------------------------------------------
 # Modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
-
-def bessel_k(p: float, x: float) -> float:
-    """K_p(x) for real index p and x > 0.
-
-    Symmetric in the index (K_p = K_{-p}). Raises
-    :class:`BesselOverflowError` when the value overflows the linear domain
-    (tiny x with large |p|) and underflow-prone callers should use
-    :func:`log_bessel_k`.
-    """
-    if not x > 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    val = float(special.kv(p, x))
-    if math.isinf(val):
-        raise BesselOverflowError(
-            f"K_{p}({x}) overflows in the linear domain; use log_bessel_k"
-        )
-    return val
-
 
 def log_bessel_k(p, x):
     """log K_p(x), stable for large x (where K underflows) and small x.

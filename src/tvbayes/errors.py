@@ -17,10 +17,6 @@ class MomentDivergesError(TvBayesError, ArithmeticError):
     """Requested distribution moment does not exist."""
 
 
-class BesselOverflowError(TvBayesError, OverflowError):
-    """Linear-domain Bessel value overflows; use the log-domain variant."""
-
-
 class DegenerateConditionalError(TvBayesError):
     """A latent-scale conditional collapsed (zero pixel difference with an
     exact-Laplace style mixing density, b = 0).

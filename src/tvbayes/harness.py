@@ -167,8 +167,11 @@ def add_noise_bsnr(blurred: np.ndarray, bsnr_db: float,
     """Add white Gaussian noise at the target blurred signal-to-noise ratio.
 
     BSNR(dB) = 10 log10(var(blurred) / sigma^2) with the sample variance of
-    the blurred signal; returns the noisy signal and the sigma used.
+    the blurred signal; returns the noisy signal and the sigma used. A BSNR
+    of +inf means noise-free data (sigma = 0); NaN and -inf raise ValueError.
     """
+    if math.isnan(bsnr_db) or bsnr_db == -math.inf:
+        raise ValueError(f"BSNR must be a number or +inf, got {bsnr_db}")
     blurred = np.asarray(blurred, dtype=float)
     var = float(np.var(blurred))
     if var == 0.0:
@@ -292,8 +295,8 @@ def _pgm_tokens(data: bytes):
 def read_pgm(path) -> np.ndarray:
     """Read a P2 or P5 PGM into a float array in [0, 1].
 
-    Malformed headers and truncated payloads raise
-    :class:`FileFormatError` with the byte offset of the problem.
+    Malformed headers, truncated payloads and pixel values above maxval
+    raise :class:`FileFormatError` with the byte offset of the problem.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -337,6 +340,11 @@ def read_pgm(path) -> np.ndarray:
                 f"truncated P5 payload: need {need} bytes, have {len(payload)}",
                 offset=len(data))
         raw = np.frombuffer(payload[:need], dtype=np.uint8)
+        over = np.flatnonzero(raw > maxval)
+        if over.size:
+            raise FileFormatError(
+                f"pixel value {raw[over[0]]} exceeds maxval {maxval}",
+                offset=header_end + 1 + int(over[0]))
         return raw.reshape(rows, cols).astype(float) / maxval
 
     vals = np.empty(rows * cols, dtype=float)

@@ -31,7 +31,8 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
               x0: np.ndarray | None = None) -> PcgResult:
     """Solve the SPD system matvec(x) = rhs by preconditioned CG.
 
-    ``tol`` is relative: stop once ||matvec(x) - rhs|| <= tol * ||rhs||.
+    ``tol`` is relative: stop once ||matvec(x) - rhs|| <= tol * ||rhs||;
+    a start ``x0`` that already meets it comes back after 0 iterations.
     ``precond`` applies an approximation of the inverse (identity if None).
     ``matvec`` and ``precond`` may return a buffer that they overwrite on
     their next call (the two may even share one): each result is used up
@@ -54,10 +55,13 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = rhs - matvec(x)
+    res = float(np.linalg.norm(r)) / rhs_norm
+    if res <= tol:
+        return PcgResult(x, 0, res)
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
-    best_x, best_res = x.copy(), float(np.linalg.norm(r)) / rhs_norm
+    best_x, best_res = x.copy(), res
     step = np.empty(n)
     for it in range(1, maxit + 1):
         qp = matvec(p)

@@ -67,6 +67,13 @@ class TestSimulate:
                 str(tmp_path / "x"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bsnr", ["nan", "-inf"])
+    def test_bad_bsnr_exit_code(self, tmp_path, bsnr):
+        code = run("simulate", "--kind", "blocky", "--size", "32",
+                   f"--bsnr={bsnr}", "--out-prefix", str(tmp_path / "x"))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeblur:
     @pytest.fixture()
@@ -227,6 +234,14 @@ class TestDeblur:
                    "--method", "tikhonov", "--sidecar", str(path),
                    "--out-prefix", str(tmp_path / "bs"))
         assert code == 2
+
+    def test_p5_byte_above_maxval_exit_code(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n4 4\n100\n" + bytes([50] * 15 + [200]))
+        code = run("deblur", "--input", str(path), "--method", "ias",
+                   "--out-prefix", str(tmp_path / "ov"))
+        assert code == 2
+        assert not (tmp_path / "ov_report.json").exists()
 
     def test_missing_input_exit_code(self, tmp_path):
         code = run("deblur", "--input", str(tmp_path / "nothing.csv"),

@@ -132,6 +132,17 @@ class TestBsnr:
         with pytest.raises(ValueError):
             add_noise_bsnr(np.ones(50), 30.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bsnr", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf(self, bsnr):
+        with pytest.raises(ValueError, match="BSNR"):
+            add_noise_bsnr(np.arange(5.0), bsnr, np.random.default_rng(0))
+
+    def test_plus_inf_is_noise_free(self):
+        sig = np.arange(5.0)
+        noisy, sigma = add_noise_bsnr(sig, math.inf, np.random.default_rng(0))
+        assert sigma == 0.0
+        np.testing.assert_array_equal(noisy, sig)
+
 
 class TestMetrics:
     def test_exact_match(self):
@@ -212,6 +223,15 @@ class TestPgm:
         path.write_bytes(b"P2\n2 1\n100\n50 101\n")
         with pytest.raises(FileFormatError):
             read_pgm(path)
+
+    def test_p5_byte_above_maxval_offset(self, tmp_path):
+        # header is 11 bytes; the raster's third byte (200 > 100) is at 13
+        path = tmp_path / "over5.pgm"
+        path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 100, 200, 7]))
+        with pytest.raises(FileFormatError) as exc:
+            read_pgm(path)
+        assert "200 exceeds maxval 100" in str(exc.value)
+        assert exc.value.offset == 13
 
 
 class TestCsv:

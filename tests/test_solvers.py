@@ -108,6 +108,17 @@ class TestPcg:
         res = pcg_solve(lambda v: a @ v, rhs, tol=1e-10, x0=xstar)
         assert res.iterations <= 1
 
+    def test_exact_start_returns_without_iterating(self):
+        # the start's residual is exactly 0, so the first search direction
+        # would be 0 and p'Qp = 0: the start is the answer, not a breakdown
+        d = np.array([2.0, 4.0, 8.0])
+        x0 = np.array([1.0, -0.5, 0.25])
+        res = pcg_solve(lambda v: d * v, d * x0, precond=lambda r: r / d,
+                        x0=x0)
+        assert res.iterations == 0 and res.residual == 0.0
+        np.testing.assert_array_equal(res.x, x0)
+        assert res.x is not x0
+
     def test_reused_result_buffers(self):
         # matvec and precond write into one shared buffer, as the IAS x-step
         # does; PCG must take the same steps as with fresh arrays
