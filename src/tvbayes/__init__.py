@@ -53,6 +53,7 @@ from .model import (
     LaplaceTV,
     LatentState,
     ModelSpec,
+    Prior,
     StudentTV,
     conditional_params,
     log_joint,

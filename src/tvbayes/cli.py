@@ -207,7 +207,8 @@ def _cmd_simulate(args) -> int:
         "cols": lattice.n,
         "kernel_size": args.kernel_size,
         "kernel_sigma": sigma,
-        "bsnr_db": args.bsnr,
+        # noise-free data (+inf) is null: JSON has no infinity
+        "bsnr_db": args.bsnr if math.isfinite(args.bsnr) else None,
         "noise_sigma": noise_sigma,
         "seed": args.seed,
         "outputs": outputs,

@@ -46,6 +46,7 @@ from .model import (
     nu_conditional,
     r_conditional_b,
     row_weights_from_r,
+    x_statistics,
 )
 from .operators import (
     BlurOperator,
@@ -80,7 +81,7 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
     conditional at (x0, r0)."""
     y = np.asarray(y, dtype=float)
     x0 = model.blur.rmatvec(y)
-    mix = model.prior.mixing()
+    mix = model.prior.mixing
     try:
         r0 = gig_moment(mix, 1)
     except MomentDivergesError:
@@ -89,16 +90,22 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
         r0 = 1.0
     r = np.full(model.n_latents, r0)
 
-    resid = y - model.blur.matvec(x0)
-    resid2 = float(resid @ resid)
-    floor = 1e-12 * max(1.0, float(y @ y))
-    nu0 = model.n_pixels / max(resid2, floor)
-
-    dx = model.diff.matvec(x0)
+    resid2, dx2 = x_statistics(x0, y, model)
+    nu0 = model.n_pixels / max(resid2, 1e-12 * max(1.0, float(y @ y)))
     cond = lambda_conditional(
-        float(np.sum(dx * dx * row_weights_from_r(r, model))), model)
+        float(np.sum(dx2 * row_weights_from_r(r, model))), model)
     lam0 = cond.mode if cond.rate > 0 and cond.shape > 1 else 1.0
     return LatentState(x=x0, nu=nu0, lam=lam0, r=r)
+
+
+def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None
+           ) -> tuple[np.ndarray, LatentState, np.ndarray]:
+    """y as floats, ``init`` or :func:`initial_state` checked, and H'y."""
+    y = np.asarray(y, dtype=float)
+    state = init if init is not None else initial_state(y, model)
+    state.validate(model)
+    _check_lambda(state.lam, 0)
+    return y, state, model.blur.rmatvec(y)
 
 
 def _check_lambda(lam: float, iteration: int):
@@ -203,16 +210,10 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     sub-steps (``substep_logposts``); none may lower it.
     """
     opts = opts or IasOptions()
-    if opts.maxit < 1 or not opts.tol > 0:
-        raise ValueError("ias needs maxit >= 1 and tol > 0")
-    y = np.asarray(y, dtype=float)
-    state = opts.init if opts.init is not None else initial_state(y, model)
-    state.validate(model)
-    _check_lambda(state.lam, 0)
-
-    mix = model.prior.mixing()
-    p_cond = model.r_conditional_index
-    hty = model.blur.rmatvec(y)
+    if opts.maxit < 1 or not 0 < opts.tol < math.inf:
+        raise ValueError("ias needs maxit >= 1 and a finite tol > 0")
+    y, state, hty = _start(y, model, opts.init)
+    a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
     # the caller owns an ``opts.init`` state; otherwise x0 and r0 are freed
@@ -227,9 +228,7 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         weights = row_weights_from_r(r, model)
         x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
                         opts.pcg_tol, x_prev)
-        resid = y - model.blur.matvec(x)
-        sq_resid = float(resid @ resid)
-        dx2 = model.diff.matvec(x) ** 2
+        sq_resid, dx2 = x_statistics(x, y, model)
         penalty = float(np.sum(dx2 * weights))
         step_logs = [log_joint(nu, lam, r, sq_resid, penalty, model)]
 
@@ -240,10 +239,10 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         _check_lambda(lam, it)
         step_logs.append(log_joint(nu, lam, r, sq_resid, penalty, model))
 
-        r = _r_mode_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond, it)
+        r = _r_mode_batch(a, r_conditional_b(dx2, lam, model), p_cond, it)
         # freed before the next sweep's CG solve, where the run's peak
         # memory is
-        del resid, dx2
+        del dx2
 
         logpost = log_posterior(LatentState(x, nu, lam, r), y, model)
         substeps.append(step_logs + [logpost])
@@ -313,19 +312,12 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     once, from the last sweep's factor.
     """
     opts = opts or VbOptions()
-    if opts.maxit < 1 or not opts.tol > 0:
-        raise ValueError("vb needs maxit >= 1 and tol > 0")
-    y = np.asarray(y, dtype=float)
+    if opts.maxit < 1 or not 0 < opts.tol < math.inf:
+        raise ValueError("vb needs maxit >= 1 and a finite tol > 0")
     N = model.n_pixels
     x_precision = dense_gram(model.blur, model.diff)
-
-    init = opts.init if opts.init is not None else initial_state(y, model)
-    init.validate(model)
-    _check_lambda(init.lam, 0)
-    mix = model.prior.mixing()
-    p_cond = model.r_conditional_index
-
-    hty = model.blur.rmatvec(y)
+    y, init, hty = _start(y, model, opts.init)
+    a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
     nu_mean, lam_mean = init.nu, init.lam
     e_inv_r = 1.0 / init.r
@@ -341,18 +333,16 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         nu_built = nu_mean
         x_mean = factor.solve(hty)
 
-        dx = model.diff.matvec(x_mean)
+        sq_resid, dx2 = x_statistics(x_mean, y, model)
         row_var = model.diff.factor_row_quadratic(factor.inverse_factor())
         row_var /= nu_built
-        e_dx2 = dx * dx + row_var
+        e_dx2 = dx2 + row_var
 
         # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
         # nu, lambda that built this sweep's factor, S (nu H'H + lambda D'WD)
         # = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii) / nu
-        nu_cond = nu_conditional(
-            float(np.sum((y - model.blur.matvec(x_mean)) ** 2))
-            + (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean,
-            model)
+        tr_hhs = (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean
+        nu_cond = nu_conditional(sq_resid + tr_hhs, model)
         nu_mean = nu_cond.mean
 
         lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
@@ -360,7 +350,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         _check_lambda(lam_mean, it)
 
         r_b = r_conditional_b(e_dx2, lam_mean, model)
-        e_inv_r = gig_inv_moment_batch(mix.a, r_b, p_cond)
+        e_inv_r = gig_inv_moment_batch(a, r_b, p_cond)
         if not np.all(np.isfinite(e_inv_r)) or np.any(e_inv_r <= 0):
             raise NonFiniteError("latent-scale inverse moments are not "
                                  "positive finite", where="e_inv_r",
@@ -377,7 +367,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         x_mean=x_mean, x_cov=factor.inverse() / nu_built,
         nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
         lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
-        r_a=mix.a, r_b=r_b, r_p=p_cond,
+        r_a=a, r_b=r_b, r_p=p_cond,
         e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
         converged=converged, trace=np.asarray(trace))
 
@@ -429,17 +419,11 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     burn_in = opts.burn_in if opts.burn_in is not None else opts.samples // 5
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    y = np.asarray(y, dtype=float)
     N = model.n_pixels
     x_precision = dense_gram(model.blur, model.diff)
     rng = np.random.default_rng(opts.seed)
-    state = opts.init if opts.init is not None else initial_state(y, model)
-    state.validate(model)
-    _check_lambda(state.lam, 0)
-
-    mix = model.prior.mixing()
-    p_cond = model.r_conditional_index
-    hty = model.blur.rmatvec(y)
+    y, state, hty = _start(y, model, opts.init)
+    a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
     total = burn_in + opts.samples * opts.thinning
@@ -455,15 +439,13 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
         factor = SpdFactor(precision)
         x = factor.sample_precision(factor.solve(nu * hty), rng)
 
-        resid = y - model.blur.matvec(x)
-        cond = nu_conditional(float(resid @ resid), model)
+        sq_resid, dx2 = x_statistics(x, y, model)
+        cond = nu_conditional(sq_resid, model)
         nu = float(rng.gamma(cond.shape, 1.0 / cond.rate))
-        dx2 = model.diff.matvec(x) ** 2
         cond = lambda_conditional(float(np.sum(dx2 * weights)), model)
         lam = float(rng.gamma(cond.shape, 1.0 / cond.rate))
         _check_lambda(lam, sweep + 1)
-        r = gig_sample_batch(mix.a, r_conditional_b(dx2, lam, model), p_cond,
-                             rng)
+        r = gig_sample_batch(a, r_conditional_b(dx2, lam, model), p_cond, rng)
 
         nu_trace[sweep] = nu
         lam_trace[sweep] = lam
@@ -487,7 +469,7 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
 def tikhonov_baseline(y: np.ndarray, blur: BlurOperator, diff: DiffOperator,
                       delta: float) -> np.ndarray:
     """Solve (H'H + delta D'D) x = H'y by one division on the Fourier grid."""
-    if not delta > 0:
-        raise ValueError(f"tikhonov delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"tikhonov delta must be finite and > 0, got {delta}")
     y = np.asarray(y, dtype=float)
     return circulant_gram_precond(blur, diff, delta, 1.0)(blur.rmatvec(y))

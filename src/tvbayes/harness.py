@@ -168,15 +168,20 @@ def add_noise_bsnr(blurred: np.ndarray, bsnr_db: float,
 
     BSNR(dB) = 10 log10(var(blurred) / sigma^2) with the sample variance of
     the blurred signal; returns the noisy signal and the sigma used. A BSNR
-    of +inf means noise-free data (sigma = 0); NaN and -inf raise ValueError.
+    of +inf means noise-free data (sigma = 0); NaN, -inf and a finite BSNR
+    whose sigma leaves the float range (|BSNR| > ~3000 dB) raise ValueError.
     """
-    if math.isnan(bsnr_db) or bsnr_db == -math.inf:
-        raise ValueError(f"BSNR must be a number or +inf, got {bsnr_db}")
     blurred = np.asarray(blurred, dtype=float)
     var = float(np.var(blurred))
     if var == 0.0:
         raise ValueError("blurred signal is constant; BSNR is undefined")
-    sigma = math.sqrt(var / 10.0 ** (bsnr_db / 10.0))
+    try:
+        sigma = math.sqrt(var / 10.0 ** (bsnr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(BSNR/10) out of range
+        sigma = math.nan
+    if not (0.0 < sigma < math.inf or bsnr_db == math.inf):
+        raise ValueError(f"BSNR must be +inf or a number whose noise sigma "
+                         f"is positive and finite, got {bsnr_db} dB")
     return blurred + sigma * rng.standard_normal(blurred.shape), sigma
 
 

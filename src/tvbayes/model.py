@@ -7,21 +7,22 @@ Joint density over (x, nu, lambda, r) given data y, up to normalisation:
              - a/2 sum r - b/2 sum 1/r - b_l lambda - b_n nu )
 
 with N pixels, M difference rows, R^{-2} = diag(1/(2 r_row)) and (a, b, p)
-the mixing-density triple of the prior variant. Each of the M/L latents
-scales L difference rows: L = 1 under the per-edge layout (one latent per
-row), and L is the number of difference blocks under the per-pixel layout
-(one latent shared by a pixel's rows). Every latent has exponent
-rho = p - L/2 - 1 and conditional GIG index p - L/2.
+the mixing density of the :class:`Prior`, whose layout sets L: each of the
+M/L latents scales L difference rows, L = 1 per edge (one latent per row)
+and L the number of difference blocks per pixel (one latent shared by a
+pixel's rows). Every latent has exponent rho = p - L/2 - 1 and conditional
+GIG index p - L/2. ``LaplaceTV``, ``StudentTV``, ``Laplace2D`` and
+``CustomGig`` construct the usual priors.
 
 On the usual 2-D lattice M = 2N and the per-pixel L = 2, which recovers the
 familiar lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D
 signals (M = N, L = 1 in both layouts) without special cases.
 
-The joint density is written once, in :func:`log_joint`, as six named
-blocks over nu, lambda, the latent scales and the two statistics of x
-(||y - Hx||^2 and ||R^{-1} D x||^2); :func:`log_posterior` forms those
-statistics at a state and returns its value, and IAS scores its sweep
-sub-steps with it directly.
+The density reads x only through ||y - Hx||^2 and the squared differences
+(Dx)^2, formed in one place, :func:`x_statistics`. It is written once, in
+:func:`log_joint`, as six named blocks over nu, lambda, the latent scales
+and those statistics; :func:`log_posterior` evaluates it at a state, and
+IAS scores its sweep sub-steps with it directly.
 
 The nu, lambda and latent-scale conditional formulas live only in three
 builders: :func:`nu_conditional`, :func:`lambda_conditional` and
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Literal
 
 import numpy as np
 
@@ -55,17 +56,18 @@ from .solvers import SpdFactor
 
 __all__ = [
     "HyperParams",
+    "Prior",
     "LaplaceTV",
     "StudentTV",
     "Laplace2D",
     "CustomGig",
-    "PriorVariant",
     "ModelSpec",
     "LatentState",
     "GammaParams",
     "GaussianParams",
     "log_joint",
     "log_posterior",
+    "x_statistics",
     "conditional_params",
     "nu_conditional",
     "lambda_conditional",
@@ -92,73 +94,54 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class LaplaceTV:
-    """Anisotropic-TV prior: per-edge latents, mixing GIG(2, safeguard_b, 1).
+class Prior:
+    """TV prior: the GIG mixing density of the latent scales and their layout,
+    one latent per difference row ("edge") or per pixel ("pixel")."""
 
-    safeguard_b = 0 is the exact Laplace prior (exponential mixing) whose
-    latent scales can collapse to zero on flat regions; the small default
-    keeps them strictly positive.
-    """
-
-    safeguard_b: float = 0.001
-    layout = "edge"
-
-    def mixing(self) -> GigParams:
-        return GigParams(2.0, self.safeguard_b, 1.0)
-
-
-@dataclass(frozen=True)
-class StudentTV:
-    """Student-t TV prior with w degrees of freedom: per-edge latents,
-    mixing GIG(0, w, -w/2) = InvGamma(w/2, w/2)."""
-
-    w: float = 2.0
-    layout = "edge"
+    mixing: GigParams
+    layout: Literal["edge", "pixel"] = "edge"
 
     def __post_init__(self):
-        if not self.w > 0:
-            raise ValueError(f"degrees of freedom must be > 0, got {self.w}")
-
-    def mixing(self) -> GigParams:
-        return GigParams(0.0, self.w, -self.w / 2.0)
+        if self.layout not in ("edge", "pixel"):
+            raise ValueError(f"prior layout must be 'edge' or 'pixel', "
+                             f"got {self.layout!r}")
 
 
-@dataclass(frozen=True)
-class Laplace2D:
+def LaplaceTV(safeguard_b: float = 0.001) -> Prior:
+    """Anisotropic-TV prior: per-edge latents, mixing GIG(2, safeguard_b, 1).
+    safeguard_b = 0 is the exact Laplace prior (exponential mixing), whose
+    latent scales can collapse to zero on flat regions; the small default
+    keeps them strictly positive."""
+    return Prior(GigParams(2.0, safeguard_b, 1.0))
+
+
+def StudentTV(w: float = 2.0) -> Prior:
+    """Student-t TV prior with w > 0 degrees of freedom: per-edge latents,
+    mixing GIG(0, w, -w/2) = InvGamma(w/2, w/2)."""
+    return Prior(GigParams(0.0, w, -w / 2.0))
+
+
+def Laplace2D(mixing_params: GigParams = GigParams(2.0, 0.001, 1.0)) -> Prior:
     """Bivariate-Laplace TV prior: one latent per pixel pools that pixel's
     horizontal and vertical differences. Defaults to the safeguarded
     GIG(2, 0.001, 1) mixing; pass GIG(2, 0, 1) for the exact variant."""
-
-    mixing_params: GigParams = GigParams(2.0, 0.001, 1.0)
-    layout = "pixel"
-
-    def mixing(self) -> GigParams:
-        return self.mixing_params
+    return Prior(mixing_params, "pixel")
 
 
-@dataclass(frozen=True)
-class CustomGig:
+def CustomGig(mixing_params: GigParams) -> Prior:
     """Per-edge latents with an arbitrary admissible GIG mixing density."""
-
-    mixing_params: GigParams
-    layout = "edge"
-
-    def mixing(self) -> GigParams:
-        return self.mixing_params
-
-
-PriorVariant = Union[LaplaceTV, StudentTV, Laplace2D, CustomGig]
+    return Prior(mixing_params)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable bundle of lattice, operators, hyperpriors and prior variant."""
+    """Immutable bundle of lattice, operators, hyperpriors and prior."""
 
     lattice: LatticeSpec
     blur: BlurOperator
     diff: DiffOperator
     hyper: HyperParams
-    prior: PriorVariant
+    prior: Prior
 
     def __post_init__(self):
         if not validate_rank_condition(self.blur, self.diff):
@@ -170,7 +153,7 @@ class ModelSpec:
     @classmethod
     def build(cls, lattice: LatticeSpec, kernel: np.ndarray,
               hyper: HyperParams | None = None,
-              prior: PriorVariant | None = None) -> "ModelSpec":
+              prior: Prior | None = None) -> "ModelSpec":
         return cls(lattice, BlurOperator(kernel, lattice),
                    DiffOperator(lattice),
                    hyper if hyper is not None else HyperParams(),
@@ -215,7 +198,7 @@ class ModelSpec:
     @property
     def r_conditional_index(self) -> float:
         """GIG index of the latent-scale full conditionals."""
-        return self.prior.mixing().p - 0.5 * self.rows_per_latent
+        return self.prior.mixing.p - 0.5 * self.rows_per_latent
 
 
 @dataclass
@@ -313,7 +296,7 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
     With ``check`` a zero b' (exact b = 0 mixing only) raises; callers that
     need one latent check just that one."""
     sq_diffs = sq_diffs.reshape(model.rows_per_latent, -1).sum(axis=0)
-    bprime = 0.5 * lam * sq_diffs + model.prior.mixing().b
+    bprime = 0.5 * lam * sq_diffs + model.prior.mixing.b
     if check and np.any(bprime == 0.0):
         raise _degenerate(f"{int(np.sum(bprime == 0.0))} latent-scale "
                           "conditional(s)")
@@ -325,8 +308,7 @@ def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
     """Joint log-density up to normalisation, from nu, lambda, r and the
     statistics ||y - Hx||^2 and ||R^{-1} D x||^2. Raises
     :class:`NonFiniteError` naming the block when any term is not finite."""
-    mix = model.prior.mixing()
-    h = model.hyper
+    mix, h = model.prior.mixing, model.hyper
 
     def block(value: float, where: str) -> float:
         if not math.isfinite(value):
@@ -349,6 +331,14 @@ def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
     return total
 
 
+def x_statistics(x: np.ndarray, y: np.ndarray,
+                 model: ModelSpec) -> tuple[float, np.ndarray]:
+    """The two statistics of x that the posterior reads: ||y - Hx||^2 and
+    the squared difference (Dx)^2 of every row."""
+    resid = y - model.blur.matvec(x)
+    return float(resid @ resid), model.diff.matvec(x) ** 2
+
+
 def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
     """:func:`log_joint` at the state, from its residual and penalty."""
     state.validate(model)
@@ -356,11 +346,10 @@ def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
     if y.shape != (model.n_pixels,):
         raise ValueError(f"y must have length {model.n_pixels}")
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - model.blur.matvec(state.x)
-        dx = model.diff.matvec(state.x)
-        penalty = float(np.sum(dx * dx * row_weights_from_r(state.r, model)))
-        return log_joint(state.nu, state.lam, state.r, float(resid @ resid),
-                         penalty, model)
+        sq_resid, dx2 = x_statistics(state.x, y, model)
+        penalty = float(np.sum(dx2 * row_weights_from_r(state.r, model)))
+        return log_joint(state.nu, state.lam, state.r, sq_resid, penalty,
+                         model)
 
 
 def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
@@ -377,10 +366,9 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
             state.lam / state.nu, row_weights_from_r(state.r, model))
         mean = SpdFactor(q).solve(model.blur.rmatvec(y))
         return GaussianParams(mean, state.nu * q)
+    sq_resid, dx2 = x_statistics(state.x, y, model)
     if which == "nu":
-        resid = y - model.blur.matvec(state.x)
-        return nu_conditional(float(resid @ resid), model)
-    dx2 = model.diff.matvec(state.x) ** 2
+        return nu_conditional(sq_resid, model)
     if which == "lambda":
         weights = row_weights_from_r(state.r, model)
         return lambda_conditional(float(np.sum(dx2 * weights)), model)
@@ -393,6 +381,6 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
         bprime = r_conditional_b(dx2, state.lam, model, check=False)[idx]
         if bprime == 0.0:
             raise _degenerate(f"latent-scale conditional {idx}")
-        return GigParams(model.prior.mixing().a, float(bprime),
+        return GigParams(model.prior.mixing.a, float(bprime),
                          model.r_conditional_index)
     raise ValueError(f"unknown conditional selector {which!r}")

@@ -31,6 +31,7 @@ into one is valid until the next call that is given it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,8 +243,10 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Sampled isotropic Gaussian mask, odd size, normalised to sum 1."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
-    if not sigma > 0:
-        raise ValueError(f"kernel sigma must be > 0, got {sigma}")
+    # sigma^2 divides below: its overflow raises, its underflow gives NaN
+    if not (sigma > 0 and 0 < sigma * sigma < math.inf):
+        raise ValueError(f"kernel sigma must be > 0 with a finite nonzero "
+                         f"square, got {sigma}")
     if size == 1:
         return np.ones((1, 1))
     c = size // 2

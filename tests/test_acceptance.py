@@ -257,7 +257,7 @@ def test_criterion_06_ias_ascent():
             logs = res.substep_logposts.ravel()
             dips = -np.diff(logs) / np.maximum(1.0, np.abs(logs[:-1]))
             worst_dip = max(worst_dip, float(dips.max()))
-            assert np.all(dips <= 1e-8), (type(prior).__name__, seed)
+            assert np.all(dips <= 1e-8), (prior, seed)
             # fixed point: every variable equals its conditional mode
             final = res.latent_state()
             cond_nu = conditional_params(final, y, model, "nu")

@@ -67,12 +67,24 @@ class TestSimulate:
                 str(tmp_path / "x"))
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("bsnr", ["nan", "-inf"])
+    @pytest.mark.parametrize("bsnr", ["nan", "-inf", "4000", "-4000",
+                                      "-3100"])
     def test_bad_bsnr_exit_code(self, tmp_path, bsnr):
         code = run("simulate", "--kind", "blocky", "--size", "32",
                    f"--bsnr={bsnr}", "--out-prefix", str(tmp_path / "x"))
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_noise_free_sidecar_is_strict_json(self, tmp_path):
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        prefix = str(tmp_path / "nf")
+        assert run("simulate", "--kind", "blocky", "--size", "32",
+                   "--bsnr", "inf", "--out-prefix", prefix) == 0
+        side = json.loads((tmp_path / "nf_sim.json").read_text(),
+                          parse_constant=no_constant)
+        assert side["bsnr_db"] is None
+        assert side["noise_sigma"] == 0.0
 
 
 class TestDeblur:
@@ -242,6 +254,21 @@ class TestDeblur:
                    "--out-prefix", str(tmp_path / "ov"))
         assert code == 2
         assert not (tmp_path / "ov_report.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "ias", "--tol", "inf"],
+        ["--method", "vb", "--tol", "inf"],
+        ["--method", "tikhonov", "--delta", "inf"],
+        ["--method", "tikhonov", "--kernel-size", "5", "--sigma", "inf"],
+        ["--method", "tikhonov", "--kernel-size", "5", "--sigma", "1e200"],
+        ["--method", "ias", "--prior", "student", "--dof", "0"],
+    ], ids=["ias-tol", "vb-tol", "tikhonov-delta", "kernel-sigma",
+            "kernel-sigma-square", "dof"])
+    def test_out_of_range_option_exit_code(self, problem, tmp_path, flags):
+        code = run("deblur", "--input", problem + "_noisy.csv", *flags,
+                   "--out-prefix", str(tmp_path / "no"))
+        assert code == 2
+        assert not (tmp_path / "no_report.json").exists()
 
     def test_missing_input_exit_code(self, tmp_path):
         code = run("deblur", "--input", str(tmp_path / "nothing.csv"),

@@ -264,6 +264,44 @@ class TestSharedConditionals:
         assert self.counts(calls) == [chain.n_sweeps] * 3
 
 
+class TestSweepOptions:
+    def test_rejects_bad_tol_and_maxit(self):
+        model, _, y = signal_problem(n=16)
+        for run, options in ((ias_run, IasOptions), (vb_run, VbOptions)):
+            for bad in ({"tol": 0.0}, {"tol": np.inf}, {"tol": np.nan},
+                        {"maxit": 0}):
+                with pytest.raises(ValueError, match="tol"):
+                    run(y, model, options(**bad))
+
+
+class TestOneXPass:
+    """Every engine reads ||y - Hx||^2 and (Dx)^2 from x_statistics."""
+
+    @pytest.mark.parametrize("engine", ["ias", "vb", "gibbs"])
+    def test_once_per_sweep(self, monkeypatch, engine):
+        import tvbayes.estimators as est
+        model, _, y = signal_problem()
+        init = initial_state(y, model)
+        seen = []
+
+        def record(x, *args, _fn=est.x_statistics):
+            seen.append(x)
+            return _fn(x, *args)
+        monkeypatch.setattr(est, "x_statistics", record)
+        if engine == "ias":
+            res = ias_run(y, model, IasOptions(init=init))
+            sweeps, x = res.iterations, res.x
+        elif engine == "vb":
+            res = vb_run(y, model, VbOptions(init=init))
+            sweeps, x = res.iterations, res.x_mean
+        else:
+            res = gibbs_run(y, model, GibbsOptions(seed=2, samples=20,
+                                                   burn_in=5, init=init))
+            sweeps, x = res.n_sweeps, res.last_state.x
+        assert len(seen) == sweeps
+        assert seen[-1] is x
+
+
 class TestDenseGram:
     """VB, Gibbs and conditional_params take the x-system from one builder."""
 
@@ -627,8 +665,9 @@ class TestTikhonov:
 
     def test_rejects_nonpositive_delta(self):
         model, truth, y = signal_problem(n=16)
-        with pytest.raises(ValueError):
-            tikhonov_baseline(y, model.blur, model.diff, 0.0)
+        for delta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                tikhonov_baseline(y, model.blur, model.diff, delta)
 
 
 class TestStudentLimit:

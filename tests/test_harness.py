@@ -132,7 +132,8 @@ class TestBsnr:
         with pytest.raises(ValueError):
             add_noise_bsnr(np.ones(50), 30.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bsnr", [math.nan, -math.inf])
+    @pytest.mark.parametrize("bsnr", [math.nan, -math.inf, 4000.0, -4000.0,
+                                      -3100.0])
     def test_rejects_nan_and_minus_inf(self, bsnr):
         with pytest.raises(ValueError, match="BSNR"):
             add_noise_bsnr(np.arange(5.0), bsnr, np.random.default_rng(0))

@@ -20,6 +20,7 @@ from tvbayes.model import (
     LaplaceTV,
     LatentState,
     ModelSpec,
+    Prior,
     StudentTV,
     conditional_params,
     log_joint,
@@ -33,11 +34,11 @@ from tvbayes.operators import (
 )
 
 ALL_VARIANTS = [
-    LaplaceTV(),
-    LaplaceTV(safeguard_b=0.0),
-    StudentTV(w=2.0),
-    Laplace2D(),
-    CustomGig(GigParams(1.5, 0.4, -0.3)),
+    pytest.param(LaplaceTV(), id="LaplaceTV"),
+    pytest.param(LaplaceTV(safeguard_b=0.0), id="LaplaceTV_exact"),
+    pytest.param(StudentTV(w=2.0), id="StudentTV"),
+    pytest.param(Laplace2D(), id="Laplace2D"),
+    pytest.param(CustomGig(GigParams(1.5, 0.4, -0.3)), id="CustomGig"),
 ]
 
 
@@ -88,6 +89,18 @@ class TestStateValidation:
             assert model.r_exponent == index - 1.0
         pooled_1d = make_model(k=1, n=8, prior=Laplace2D(mix))
         assert pooled_1d.rows_per_latent == 1
+
+    def test_constructors_name_one_prior_type(self):
+        mix = GigParams(1.5, 0.4, -0.3)
+        assert LaplaceTV(0.01) == Prior(GigParams(2.0, 0.01, 1.0), "edge")
+        assert StudentTV(4.0) == Prior(GigParams(0.0, 4.0, -2.0), "edge")
+        assert Laplace2D(mix) == Prior(mix, "pixel")
+        assert CustomGig(mix) == Prior(mix, "edge")
+        for w in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                StudentTV(w)
+        with pytest.raises(ValueError, match="layout"):
+            Prior(mix, "row")
 
     def test_latents_to_rows_per_layout(self):
         # a per-pixel latent covers its pixel's row in both difference
@@ -292,10 +305,7 @@ class TestConditionals:
 class TestCoherence:
     """Restricted log-posterior minus conditional log-density is constant."""
 
-    @pytest.mark.parametrize("prior", ALL_VARIANTS,
-                             ids=lambda p: type(p).__name__ + (
-                                 "_exact" if getattr(p, "safeguard_b", 1) == 0
-                                 else ""))
+    @pytest.mark.parametrize("prior", ALL_VARIANTS)
     def test_all_conditionals(self, prior):
         rng = np.random.default_rng(10)
         model = make_model(k=3, n=3, prior=prior,

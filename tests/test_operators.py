@@ -233,8 +233,9 @@ class TestGaussianKernel:
     def test_rejects_even_size(self):
         with pytest.raises(ValueError):
             gaussian_kernel(4, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_kernel(3, 0.0)
+        for sigma in (0.0, np.inf, np.nan, 1e-200, 1e200):
+            with pytest.raises(ValueError):
+                gaussian_kernel(3, sigma)
 
 
 class TestBlurOperator:
