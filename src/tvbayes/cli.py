@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .estimators import (
 )
 from .harness import (
     RunReport,
-    Stopwatch,
     add_noise_bsnr,
     make_image_2d,
     make_signal_1d,
@@ -301,70 +301,64 @@ def _cmd_deblur(args) -> int:
     model = ModelSpec.build(lattice, kernel, hyper=hyper,
                             prior=_build_prior(args))
 
-    config = {
-        "input": args.input, "method": args.method, "prior": args.prior,
-        "safeguard_b": args.safeguard_b, "dof": args.dof,
-        "gig_a": args.gig_a, "gig_b": args.gig_b, "gig_p": args.gig_p,
-        "alpha_lambda": args.alpha_lambda, "beta_lambda": args.beta_lambda,
-        "alpha_nu": args.alpha_nu, "beta_nu": args.beta_nu,
-        "kernel_size": kernel_size, "kernel_sigma": sigma,
-        "tol": args.tol, "maxit": args.maxit, "samples": args.samples,
-        "burn_in": args.burn_in, "thinning": args.thinning,
-        "seed": args.seed, "delta": args.delta,
-    }
+    # every deblur flag but the file paths, with the kernel as resolved
+    dropped = ("command", "sidecar", "truth", "out_prefix", "sigma")
+    config = {k: v for k, v in vars(args).items() if k not in dropped}
+    config.update(kernel_size=kernel_size, kernel_sigma=sigma)
     outputs = {}
 
-    with Stopwatch() as clock:
-        if args.method == "ias":
-            res = ias_run(y, model, IasOptions(tol=args.tol, maxit=args.maxit))
-            estimate, nu, lam = res.x, res.nu, res.lam
-            iterations, converged = res.iterations, res.converged
-            trace_path = _out_path(args.out_prefix, "_trace.csv")
-            write_table_csv(
-                trace_path,
-                ["iteration", "log_posterior", "rel_x_change", "nu", "lambda"],
-                [(i + 1, *row) for i, row in enumerate(res.trace)])
-            outputs["trace"] = trace_path
-            extra = {}
-        elif args.method == "vb":
-            res = vb_run(y, model, VbOptions(tol=args.tol, maxit=args.maxit))
-            estimate, nu, lam = res.x_mean, res.nu_mean, res.lam_mean
-            iterations, converged = res.iterations, res.converged
-            trace_path = _out_path(args.out_prefix, "_trace.csv")
-            write_table_csv(
-                trace_path, ["iteration", "rel_x_change", "nu_mean",
-                             "lambda_mean"],
-                [(i + 1, *row) for i, row in enumerate(res.trace)])
-            outputs["trace"] = trace_path
-            std_path = _out_path(args.out_prefix, "_std.csv")
-            write_signal_csv(std_path, res.x_std, header="posterior_std")
-            outputs["posterior_std"] = std_path
-            extra = {"nu_shape": res.nu_shape, "nu_rate": res.nu_rate,
-                     "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate}
-        elif args.method == "gibbs":
-            res = gibbs_run(y, model, GibbsOptions(
-                seed=args.seed, samples=args.samples, burn_in=args.burn_in,
-                thinning=args.thinning))
-            estimate = res.x_mean
-            nu = float(np.mean(res.nu_trace[res.burn_in:]))
-            lam = float(np.mean(res.lam_trace[res.burn_in:]))
-            # the chain runs no convergence test, so none is reported
-            iterations, converged = res.n_sweeps, None
-            for tag, tr in (("nu_trace", res.nu_trace),
-                            ("lambda_trace", res.lam_trace)):
-                path = _out_path(args.out_prefix, f"_{tag}.csv")
-                write_signal_csv(path, tr, header=tag)
-                outputs[tag] = path
-            extra = {"burn_in": res.burn_in, "kept_samples": res.samples,
-                     "thinning": res.thinning}
-        else:  # tikhonov
-            estimate = tikhonov_baseline(y, model.blur, model.diff, args.delta)
-            nu = lam = None
-            iterations, converged = 0, True
-            extra = {}
+    t0 = time.perf_counter()
+    if args.method == "ias":
+        res = ias_run(y, model, IasOptions(tol=args.tol, maxit=args.maxit))
+        estimate, nu, lam = res.x, res.nu, res.lam
+        iterations, converged = res.iterations, res.converged
+        trace_path = _out_path(args.out_prefix, "_trace.csv")
+        write_table_csv(
+            trace_path,
+            ["iteration", "log_posterior", "rel_x_change", "nu", "lambda"],
+            [(i + 1, *row) for i, row in enumerate(res.trace)])
+        outputs["trace"] = trace_path
+        extra = {}
+    elif args.method == "vb":
+        res = vb_run(y, model, VbOptions(tol=args.tol, maxit=args.maxit))
+        estimate, nu, lam = res.x_mean, res.nu_mean, res.lam_mean
+        iterations, converged = res.iterations, res.converged
+        trace_path = _out_path(args.out_prefix, "_trace.csv")
+        write_table_csv(
+            trace_path, ["iteration", "rel_x_change", "nu_mean",
+                         "lambda_mean"],
+            [(i + 1, *row) for i, row in enumerate(res.trace)])
+        outputs["trace"] = trace_path
+        std_path = _out_path(args.out_prefix, "_std.csv")
+        write_signal_csv(std_path, res.x_std, header="posterior_std")
+        outputs["posterior_std"] = std_path
+        extra = {"nu_shape": res.nu_shape, "nu_rate": res.nu_rate,
+                 "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate}
+    elif args.method == "gibbs":
+        res = gibbs_run(y, model, GibbsOptions(
+            seed=args.seed, samples=args.samples, burn_in=args.burn_in,
+            thinning=args.thinning))
+        estimate = res.x_mean
+        nu = float(np.mean(res.nu_trace[res.burn_in:]))
+        lam = float(np.mean(res.lam_trace[res.burn_in:]))
+        # the chain runs no convergence test, so none is reported
+        iterations, converged = res.n_sweeps, None
+        for tag, tr in (("nu_trace", res.nu_trace),
+                        ("lambda_trace", res.lam_trace)):
+            path = _out_path(args.out_prefix, f"_{tag}.csv")
+            write_signal_csv(path, tr, header=tag)
+            outputs[tag] = path
+        extra = {"burn_in": res.burn_in, "kept_samples": res.samples,
+                 "thinning": res.thinning}
+    else:  # tikhonov
+        estimate = tikhonov_baseline(y, model.blur, model.diff, args.delta)
+        nu = lam = None
+        iterations, converged = 0, True
+        extra = {}
 
-        outputs["estimate"] = _write_field(args.out_prefix, "estimate",
-                                           lattice, estimate)
+    outputs["estimate"] = _write_field(args.out_prefix, "estimate", lattice,
+                                       estimate)
+    wall_time_s = time.perf_counter() - t0
 
     run_metrics = None
     if truth is not None:
@@ -375,7 +369,7 @@ def _cmd_deblur(args) -> int:
     report = RunReport(
         estimator=args.method, config=config, iterations=iterations,
         converged=converged, nu=nu, lam=lam, seed=args.seed,
-        metrics=run_metrics, wall_time_s=clock.elapsed,
+        metrics=run_metrics, wall_time_s=wall_time_s,
         outputs={**outputs, **{f"param_{k}": v for k, v in extra.items()}})
     report_path = _out_path(args.out_prefix, "_report.json")
     report.to_json(report_path)

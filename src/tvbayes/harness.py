@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -238,18 +237,6 @@ class RunReport:
             raise FileFormatError(
                 f"unsupported report schema_version {version!r}")
         return cls(schema_version=version, **data)
-
-
-class Stopwatch:
-    """Tiny wall-clock helper for report timing."""
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False
 
 
 # ---------------------------------------------------------------------------

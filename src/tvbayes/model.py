@@ -22,7 +22,8 @@ The density reads x only through ||y - Hx||^2 and the squared differences
 (Dx)^2, formed in one place, :func:`x_statistics`. It is written once, in
 :func:`log_joint`, as six named blocks over nu, lambda, the latent scales
 and those statistics; :func:`log_posterior` evaluates it at a state, and
-IAS scores its sweep sub-steps with it directly.
+IAS scores all four sub-steps of a sweep with it, from the statistics the
+sweep already holds.
 
 The nu, lambda and latent-scale conditional formulas live only in three
 builders: :func:`nu_conditional`, :func:`lambda_conditional` and

@@ -356,12 +356,11 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
         raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
                              where="lam_over_nu")
     out = blur.gram_matvec(v, out=out, spec=spec)
-    if lam_over_nu != 0.0:
-        rows = diff.matvec(v, out=rows)
-        np.multiply(row_weights, rows, out=rows)
-        penalty = diff.rmatvec(rows, out=acc)
-        penalty *= lam_over_nu
-        out += penalty
+    rows = diff.matvec(v, out=rows)
+    np.multiply(row_weights, rows, out=rows)
+    penalty = diff.rmatvec(rows, out=acc)
+    penalty *= lam_over_nu
+    out += penalty
     return out
 
 

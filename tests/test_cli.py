@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ from tvbayes.harness import (
 
 def run(*argv):
     return main(list(argv))
+
+
+# the README with its line breaks folded to single spaces
+README = " ".join(
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
 
 
 class TestSimulate:
@@ -141,6 +148,48 @@ class TestDeblur:
         assert nu_trace.shape == lam_trace.shape == (240,)  # 20% burn-in
         report = RunReport.from_json(out + "_report.json")
         assert report.converged is None  # Gibbs runs no convergence test
+
+    def test_config_holds_every_flag_and_the_resolved_kernel(self, problem,
+                                                             tmp_path):
+        out = str(tmp_path / "cf")
+        # the sidecar (5-point mask, sigma 1.25) overrides the kernel flags
+        assert run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "tikhonov", "--kernel-size", "3",
+                   "--sigma", "0.5", "--sidecar", problem + "_sim.json",
+                   "--truth", problem + "_truth.csv", "--out-prefix", out) == 0
+        config = RunReport.from_json(out + "_report.json").config
+        assert sorted(config) == [
+            "alpha_lambda", "alpha_nu", "beta_lambda", "beta_nu", "burn_in",
+            "delta", "dof", "gig_a", "gig_b", "gig_p", "input",
+            "kernel_sigma", "kernel_size", "maxit", "method", "prior",
+            "safeguard_b", "samples", "seed", "thinning", "tol"]
+        assert (config["kernel_size"], config["kernel_sigma"]) == (5, 1.25)
+        assert config["input"] == problem + "_noisy.csv"
+        assert config["method"] == "tikhonov" and config["burn_in"] is None
+
+    @pytest.mark.parametrize("method,headers", [
+        (["ias"], {"_trace.csv": ["iteration", "log_posterior",
+                                  "rel_x_change", "nu", "lambda"]}),
+        (["vb"], {"_trace.csv": ["iteration", "rel_x_change", "nu_mean",
+                                 "lambda_mean"],
+                  "_std.csv": ["posterior_std"]}),
+        (["gibbs", "--samples", "20"], {"_nu_trace.csv": ["nu_trace"],
+                                        "_lambda_trace.csv": ["lambda_trace"]}),
+        (["tikhonov"], {}),
+    ], ids=["ias", "vb", "gibbs", "tikhonov"])
+    def test_csv_headers_match_readme(self, problem, tmp_path, method,
+                                      headers):
+        headers = {**headers, "_estimate.csv": ["value"]}
+        out = str(tmp_path / "hd")
+        assert run("deblur", "--input", problem + "_noisy.csv", "--method",
+                   *method, "--sidecar", problem + "_sim.json",
+                   "--out-prefix", out) == 0
+        written = sorted(p.name[len("hd"):] for p in tmp_path.glob("hd_*.csv"))
+        assert written == sorted(headers)
+        for suffix, want in headers.items():
+            header, _ = read_table_csv(out + suffix)
+            assert header == want
+            assert f"`{', '.join(want)}`" in README, suffix
 
     def test_gibbs_deterministic(self, problem, tmp_path):
         outs = []

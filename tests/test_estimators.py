@@ -275,19 +275,29 @@ class TestSweepOptions:
 
 
 class TestOneXPass:
-    """Every engine reads ||y - Hx||^2 and (Dx)^2 from x_statistics."""
+    """Every engine reads ||y - Hx||^2 and (Dx)^2 from x_statistics, once
+    per sweep, and applies the blur outside it nowhere."""
 
     @pytest.mark.parametrize("engine", ["ias", "vb", "gibbs"])
     def test_once_per_sweep(self, monkeypatch, engine):
         import tvbayes.estimators as est
+        import tvbayes.model as model_mod
+        from tvbayes.operators import BlurOperator
         model, _, y = signal_problem()
         init = initial_state(y, model)
-        seen = []
+        seen, blurs = [], []
 
         def record(x, *args, _fn=est.x_statistics):
             seen.append(x)
             return _fn(x, *args)
+
+        def blur(self, *args, _fn=BlurOperator.matvec, **kwargs):
+            blurs.append(self)
+            return _fn(self, *args, **kwargs)
+        # the engines' own binding and the one log_posterior reaches
         monkeypatch.setattr(est, "x_statistics", record)
+        monkeypatch.setattr(model_mod, "x_statistics", record)
+        monkeypatch.setattr(BlurOperator, "matvec", blur)
         if engine == "ias":
             res = ias_run(y, model, IasOptions(init=init))
             sweeps, x = res.iterations, res.x
@@ -298,7 +308,7 @@ class TestOneXPass:
             res = gibbs_run(y, model, GibbsOptions(seed=2, samples=20,
                                                    burn_in=5, init=init))
             sweeps, x = res.n_sweeps, res.last_state.x
-        assert len(seen) == sweeps
+        assert len(seen) == len(blurs) == sweeps
         assert seen[-1] is x
 
 
