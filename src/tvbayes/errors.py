@@ -44,6 +44,11 @@ class NotSpdError(TvBayesError, ValueError):
         self.pivot = pivot
 
 
+class SpentFactorError(TvBayesError, RuntimeError):
+    """A Cholesky factor was used after its memory was given to its inverse
+    factor (``SpdFactor(..., overwrite=True).inverse_factor()``)."""
+
+
 class PcgError(TvBayesError, RuntimeError):
     """Conjugate gradient did not converge; carries the best iterate."""
 

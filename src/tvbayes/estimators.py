@@ -314,7 +314,10 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     factors are GIG with shared (a, p) and per-latent second parameter.
     A sweep reads from Cov(x) only diag(D Cov(x) D'), from the rows of the
     inverse Cholesky factor L^{-T}; the full covariance ``x_cov`` is formed
-    once, from the last sweep's factor.
+    once, from the last sweep's factor. Each factor is formed in the memory
+    of its precision and L^{-T} in the factor's (which spends it), so at
+    most two N x N arrays are live: H'H and the sweep's factor, or on the
+    last sweep the factor and ``x_cov``.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -328,15 +331,24 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     e_inv_r = 1.0 / init.r
     x_mean = init.x
     trace = []
-    converged = False
     iterations = 0
     for it in range(1, opts.maxit + 1):
         iterations = it
         x_prev = x_mean
         weights = 0.5 * model.latents_to_rows(e_inv_r)
-        factor = SpdFactor(x_precision(lam_mean / nu_mean, weights))
+        factor = SpdFactor(x_precision(lam_mean / nu_mean, weights),
+                           overwrite=True)
         nu_built = nu_mean
         x_mean = factor.solve(hty)
+        rel = float(np.linalg.norm(x_mean - x_prev)
+                    / max(np.linalg.norm(x_prev), 1e-300))
+        converged = rel < opts.tol
+        if converged or it == opts.maxit:
+            # the covariance comes before inverse_factor spends the factor,
+            # and H'H goes before it, to keep two N x N arrays live
+            x_precision = None
+            x_cov = factor.inverse()
+            x_cov /= nu_built
 
         sq_resid, dx2 = x_statistics(x_mean, y, model)
         row_var = model.diff.factor_row_quadratic(factor.inverse_factor())
@@ -361,15 +373,12 @@ def vb_run(y: np.ndarray, model: ModelSpec,
                                  "positive finite", where="e_inv_r",
                                  iteration=it)
 
-        rel = float(np.linalg.norm(x_mean - x_prev)
-                    / max(np.linalg.norm(x_prev), 1e-300))
         trace.append((rel, nu_mean, lam_mean))
-        if rel < opts.tol:
-            converged = True
+        if converged:
             break
 
     return VbState(
-        x_mean=x_mean, x_cov=factor.inverse() / nu_built,
+        x_mean=x_mean, x_cov=x_cov,
         nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
         lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
         r_a=a, r_b=r_b, r_p=p_cond,
@@ -439,9 +448,12 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     kept = 0
     for sweep in range(total):
         weights = row_weights_from_r(r, model)
+        # the last sweep's factor lives in ``precision``: free it before the
+        # next one is built, to keep two N x N arrays (H'H and this) live
+        factor = precision = None
         precision = x_precision(lam / nu, weights)
         precision *= nu
-        factor = SpdFactor(precision)
+        factor = SpdFactor(precision, overwrite=True)
         x = factor.sample_precision(factor.solve(nu * hty), rng)
 
         sq_resid, dx2 = x_statistics(x, y, model)

@@ -192,11 +192,14 @@ class DiffOperator:
         N = self.lattice.size
         _check_dense(N, "weighted difference gram")
         w = np.asarray(row_weights, dtype=float)
+        p, q = self.pos_idx, self.neg_idx
         out = np.zeros((N, N))
-        np.add.at(out, (self.pos_idx, self.pos_idx), w)
-        np.add.at(out, (self.neg_idx, self.neg_idx), w)
-        np.add.at(out, (self.pos_idx, self.neg_idx), -w)
-        np.add.at(out, (self.neg_idx, self.pos_idx), -w)
+        # the (p,p), (q,q), (p,q) and (q,p) entries of all rows in one
+        # scatter, in that order: every entry sums its terms in the same
+        # order as four scatters, one per kind, would
+        np.add.at(out, (np.concatenate((p, q, p, q)),
+                        np.concatenate((p, q, q, p))),
+                  np.concatenate((w, w, -w, -w)))
         return out
 
     def factor_row_quadratic(self, g: np.ndarray) -> np.ndarray:

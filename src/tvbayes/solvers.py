@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .errors import NotSpdError, PcgError
+from .errors import NotSpdError, PcgError, SpentFactorError
 
 __all__ = ["PcgResult", "pcg_solve", "SpdFactor"]
 
@@ -102,18 +102,28 @@ class SpdFactor:
 
     ``matrix`` must be symmetric: only its upper triangle is read (the lower
     triangle of its transpose, which LAPACK gets without a transposing copy
-    when ``matrix`` is C-ordered), and ``matrix`` itself is left untouched.
-    The factor is kept as LAPACK returns it: Fortran-ordered, with L in the
-    lower triangle and the input's entries still in the strict upper one.
-    Every routine used on it reads the lower triangle or the diagonal only.
-    ``inverse()`` and ``inverse_factor()`` return fresh C-ordered arrays.
+    when ``matrix`` is C-ordered). The factor is kept as LAPACK returns it:
+    Fortran-ordered, with L in the lower triangle and the input's entries
+    still in the strict upper one. Every routine used on it reads the lower
+    triangle or the diagonal only. ``inverse()`` returns a fresh C-ordered
+    array.
+
+    By default ``matrix`` is left untouched: the factor lives in a copy, and
+    ``inverse_factor()`` returns a fresh array and leaves the factor as it
+    was. With ``overwrite=True`` the caller gives up ``matrix``, as with
+    scipy's ``overwrite_a``: a C-ordered float64 ``matrix`` is factored in
+    its own memory (any other layout still goes to a copy, and a failed
+    factorisation leaves ``matrix`` undefined), and ``inverse_factor()``
+    forms G in the factor's memory. That spends the factor: ``solve``,
+    ``inverse``, ``logdet`` and ``sample_precision`` then raise
+    :class:`SpentFactorError`.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, *, overwrite: bool = False):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=0)
+        c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=overwrite)
         if info > 0:
             raise NotSpdError(
                 f"matrix is not positive definite: leading minor {info} failed",
@@ -121,17 +131,24 @@ class SpdFactor:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         self._factor = c
+        self._overwrite = overwrite
         self.n = a.shape[0]
 
+    def _live(self) -> np.ndarray:
+        if self._factor is None:
+            raise SpentFactorError("the factor's memory now holds its inverse "
+                                   "factor (overwrite=True)")
+        return self._factor
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpotrs(self._factor, rhs, lower=1)
+        x, info = lapack.dpotrs(self._live(), rhs, lower=1)
         if info != 0:
             raise ValueError(f"dpotrs failed with info={info}")
         return x
 
     def inverse(self) -> np.ndarray:
         # dpotri works on its own copy, so the factor survives
-        inv, info = lapack.dpotri(self._factor, lower=1)
+        inv, info = lapack.dpotri(self._live(), lower=1)
         if info != 0:
             raise NotSpdError(f"dpotri failed with info={info}", pivot=int(info))
         # dpotri fills the lower triangle only: mirror it column by column
@@ -142,9 +159,13 @@ class SpdFactor:
         return inv.T
 
     def inverse_factor(self) -> np.ndarray:
-        """G = L^{-T}, upper triangular, so that A^{-1} = G G'."""
-        # dtrtri works on a copy, leaving the input entries above L^{-1}
-        linv, info = lapack.dtrtri(self._factor, lower=1)
+        """G = L^{-T}, upper triangular and C-ordered, so that A^{-1} = G G'."""
+        # dtrtri leaves the input entries above L^{-1}; in the factor's own
+        # memory (overwrite=True) it spends the factor
+        linv, info = lapack.dtrtri(self._live(), lower=1,
+                                   overwrite_c=self._overwrite)
+        if self._overwrite:
+            self._factor = None
         if info != 0:
             raise NotSpdError(f"dtrtri failed with info={info}", pivot=int(info))
         g = linv.T
@@ -153,15 +174,15 @@ class SpdFactor:
         return g
 
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._factor))))
+        return 2.0 * float(np.sum(np.log(np.diag(self._live()))))
 
     def sample_precision(self, mean: np.ndarray, rng: np.random.Generator,
                          size: int | None = None) -> np.ndarray:
         """Draw from N(mean, A^{-1}) where A = L L' is the factored matrix."""
+        factor = self._live()
         if size is None:
             z = rng.standard_normal(self.n)
-            return mean + solve_triangular(self._factor, z, lower=True,
-                                           trans="T")
+            return mean + solve_triangular(factor, z, lower=True, trans="T")
         z = rng.standard_normal((self.n, size))
-        draws = solve_triangular(self._factor, z, lower=True, trans="T")
+        draws = solve_triangular(factor, z, lower=True, trans="T")
         return mean[:, None] + draws

@@ -1,6 +1,8 @@
 """Estimator tests: ascent/fixed-point behaviour of the MAP iteration,
 mean-field consistency, sampler correctness, and the quadratic baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,30 @@ class TestVbCovariance:
         w0 = 0.5 * model.latents_to_rows(1.0 / s.r)
         q = dense_gram(model.blur, model.diff)(s.lam / s.nu, w0)
         assert np.array_equal(res.x_cov, SpdFactor(q).inverse() / s.nu)
+
+
+class TestDenseFootprint:
+    """VB and Gibbs keep at most two N x N arrays live: H'H and the sweep's
+    factor, or on VB's last sweep the factor and ``x_cov``."""
+
+    RUNS = {"vb": lambda y, model: vb_run(y, model),
+            "gibbs": lambda y, model: gibbs_run(
+                y, model, GibbsOptions(seed=3, samples=4, burn_in=2))}
+
+    @pytest.mark.parametrize("engine", sorted(RUNS))
+    def test_peak_two_dense_arrays(self, engine):
+        model, _, y = image_problem(k=24)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            res = self.RUNS[engine](y, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sweeps = res.iterations if engine == "vb" else res.n_sweeps
+        assert sweeps > 1
+        assert peak - start <= 2.25 * 8 * model.n_pixels ** 2
 
 
 class TestVb:

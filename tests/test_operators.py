@@ -205,6 +205,20 @@ class TestDiffOperator:
                                    dm.T @ np.diag(w) @ dm, atol=1e-13)
 
     @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
+    def test_weighted_gram_dense_one_scatter(self, k, n):
+        # oracle: one scatter per kind of entry; weights over 16 decades
+        # make every entry's sum depend on the order of its terms
+        d = DiffOperator(LatticeSpec(k, n))
+        w = 10.0 ** np.random.default_rng(5).uniform(-8, 8, size=d.n_rows)
+        p, q = d.pos_idx, d.neg_idx
+        want = np.zeros((k * n, k * n))
+        np.add.at(want, (p, p), w)
+        np.add.at(want, (q, q), w)
+        np.add.at(want, (p, q), -w)
+        np.add.at(want, (q, p), -w)
+        np.testing.assert_array_equal(d.weighted_gram_dense(w), want)
+
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
     def test_factor_row_quadratic(self, k, n):
         d = DiffOperator(LatticeSpec(k, n))
         rng = np.random.default_rng(4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_triangular
 
-from tvbayes.errors import NotSpdError, PcgError
+from tvbayes.errors import NotSpdError, PcgError, SpentFactorError
 from tvbayes.solvers import SpdFactor, pcg_solve
 
 
@@ -266,6 +266,47 @@ class TestSpdFactorLayout:
         assert np.linalg.norm(g @ g.T - inv) <= 1e-12 * np.linalg.norm(inv)
         np.testing.assert_array_equal(f.solve(rhs), x)
         assert f.logdet() == logdet
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_overwrite_equals_copy(self, n, layout):
+        rng = np.random.default_rng(500 + n)
+        a = layouts(symmetric_spd(n, rng))[layout]
+        a_in = a.copy()
+        ref = SpdFactor(a)
+        f = SpdFactor(a, overwrite=True)
+        rhs = rng.normal(size=n)
+        np.testing.assert_array_equal(f.solve(rhs), ref.solve(rhs))
+        np.testing.assert_array_equal(f.inverse(), ref.inverse())
+        assert f.logdet() == ref.logdet()
+        np.testing.assert_array_equal(
+            f.sample_precision(rhs, np.random.default_rng(7), size=2),
+            ref.sample_precision(rhs, np.random.default_rng(7), size=2))
+        g = f.inverse_factor()
+        np.testing.assert_array_equal(g, ref.inverse_factor())
+        assert g.flags.c_contiguous
+        # a C-ordered input holds the factor and then G; any other layout
+        # is factored in a copy and left as it was
+        in_place = a.flags.c_contiguous
+        assert np.shares_memory(g, a) == in_place
+        if not in_place:
+            np.testing.assert_array_equal(a, a_in)
+
+    def test_overwrite_not_spd_pivot(self):
+        with pytest.raises(NotSpdError) as exc:
+            SpdFactor(np.diag([1.0, -1.0, 2.0]), overwrite=True)
+        assert exc.value.pivot == 2
+
+    def test_spent_factor_raises(self):
+        rng = np.random.default_rng(8)
+        f = SpdFactor(symmetric_spd(5, rng), overwrite=True)
+        f.inverse_factor()
+        mean = np.zeros(5)
+        for use in (lambda: f.solve(mean), f.inverse, f.inverse_factor,
+                    f.logdet, lambda: f.sample_precision(mean, rng),
+                    lambda: f.sample_precision(mean, rng, size=3)):
+            with pytest.raises(SpentFactorError):
+                use()
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
