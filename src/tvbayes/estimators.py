@@ -57,7 +57,7 @@ from .operators import (
     dense_gram,
     weighted_gram_matvec,
 )
-from .solvers import SpdFactor, pcg_solve
+from .solvers import SpdFactor, pcg_solve, triangular_gram
 
 __all__ = [
     "IasOptions",
@@ -314,10 +314,10 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     factors are GIG with shared (a, p) and per-latent second parameter.
     A sweep reads from Cov(x) only diag(D Cov(x) D'), from the rows of the
     inverse Cholesky factor L^{-T}; the full covariance ``x_cov`` is formed
-    once, from the last sweep's factor. Each factor is formed in the memory
-    of its precision and L^{-T} in the factor's (which spends it), so at
-    most two N x N arrays are live: H'H and the sweep's factor, or on the
-    last sweep the factor and ``x_cov``.
+    once, from the last sweep's L^{-T}. Each factor is formed in the memory
+    of its precision, L^{-T} in the factor's (which spends it) and ``x_cov``
+    in L^{-T}'s, and H'H is read from its lag table, so one N x N array is
+    live at a time.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -343,16 +343,16 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         rel = float(np.linalg.norm(x_mean - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
         converged = rel < opts.tol
-        if converged or it == opts.maxit:
-            # the covariance comes before inverse_factor spends the factor,
-            # and H'H goes before it, to keep two N x N arrays live
-            x_precision = None
-            x_cov = factor.inverse()
-            x_cov /= nu_built
 
         sq_resid, dx2 = x_statistics(x_mean, y, model)
-        row_var = model.diff.factor_row_quadratic(factor.inverse_factor())
+        g = factor.inverse_factor()
+        row_var = model.diff.factor_row_quadratic(g)
         row_var /= nu_built
+        if converged or it == opts.maxit:
+            x_cov = triangular_gram(g)
+            x_cov /= nu_built
+        # freed before the next sweep's precision is built
+        del g
         e_dx2 = dx2 + row_var
 
         # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
@@ -423,7 +423,9 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     x is drawn from its Gaussian conditional via a dense Cholesky factor
     (capacity gated); nu and lambda from gamma conditionals; every latent
     scale from its GIG conditional in one vectorised draw. Running mean and
-    variance accumulate over the kept (post burn-in, thinned) draws.
+    variance accumulate over the kept (post burn-in, thinned) draws. Each
+    factor is formed in the memory of its sweep's precision, and H'H is read
+    from its lag table, so one N x N array is live at a time.
     """
     opts = opts or GibbsOptions()
     if opts.samples < 1:
@@ -449,7 +451,7 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     for sweep in range(total):
         weights = row_weights_from_r(r, model)
         # the last sweep's factor lives in ``precision``: free it before the
-        # next one is built, to keep two N x N arrays (H'H and this) live
+        # next one is built, to keep one N x N array live
         factor = precision = None
         precision = x_precision(lam / nu, weights)
         precision *= nu

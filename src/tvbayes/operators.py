@@ -16,8 +16,12 @@ over it.
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip.
 
-Dense H'H and the dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
-``model.conditional_params`` are formed only in ``dense_gram``.
+The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
+``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
+from its lag table (the mask's autocorrelation wrapped onto the lattice,
+4N floats once tiled) and never forms H'H as an N x N matrix of its own.
+``BlurOperator.to_dense`` and ``DiffOperator.to_dense`` are test oracles
+only.
 
 Buffers: ``BlurOperator.gram_matvec``, ``DiffOperator.matvec``/``rmatvec``,
 ``weighted_gram_matvec`` and the ``circulant_gram_precond`` apply take their
@@ -320,6 +324,8 @@ class BlurOperator:
         return self._apply(x, self._gram, out, spec)
 
     def to_dense(self) -> np.ndarray:
+        """Dense H (N x N), capacity gated: a test oracle only; ``dense_gram``
+        reads H'H from the mask's autocorrelation instead."""
         _check_dense(self.size, "blur operator assembly")
         k, n, N = self.lattice.k, self.lattice.n, self.size
         c = self.kernel.shape[0] // 2
@@ -369,16 +375,48 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
 
 def dense_gram(blur: BlurOperator, diff: DiffOperator):
     """Capacity-gated builder: ``build(lam_over_nu, row_weights)`` returns a
-    fresh dense H'H + (lambda/nu) D' W D, from an H'H formed here once."""
+    fresh dense H'H + (lambda/nu) D' W D.
+
+    H'H is block-circulant, so its lag table (k x n, formed here once)
+    holds all of it: H'H[s, t] = c[i_t - i_s, j_t - j_s] (mod k, n) for
+    pixels s = (i_s, j_s) and t = (i_t, j_t). The table is tiled twice in
+    each direction, transposed to the n x k order of a stacked vector's
+    reshape, and read through one strided view with that entry at
+    [j_s, i_s, j_t, i_t]; each build adds the view into the weighted
+    difference gram, so no N x N H'H is ever formed.
+    """
     _check_dense(blur.size, "the Gaussian x-conditional")
-    hd = blur.to_dense()
-    hth = hd.T @ hd
-    del hd
+    k, n = blur.lattice.k, blur.lattice.n
+    w = blur.kernel
+    size = w.shape[0]
+    # c is the mask's autocorrelation: the products w[u] w[u + lag] of its
+    # taps, here at [size - 1 + lag], tap by tap. Unlike irfft2 of |H^|^2
+    # it is exactly zero beyond the mask's reach, as H'H is.
+    auto = np.zeros((2 * size - 1, 2 * size - 1))
+    for (du, dv), wt in np.ndenumerate(w):
+        auto[size - 1 - du:2 * size - 1 - du,
+             size - 1 - dv:2 * size - 1 - dv] += wt * w
+    # lags wrap onto the lattice as the mask does in BlurOperator
+    lag = np.arange(1 - size, size)
+    lags = np.zeros((k, n))
+    np.add.at(lags, ((lag % k)[:, None], (lag % n)[None, :]), auto)
+    # the wrapped sums of a lag and of its negative run in opposite orders:
+    # average them, so H'H comes out exactly symmetric
+    lags += np.roll(lags[::-1, ::-1], 1, axis=(0, 1))
+    lags *= 0.5
+    tiled = np.tile(lags.T, (2, 2))
+    s0, s1 = tiled.strides
+    # entry [j_s, i_s, j_t, i_t] is tiled[n + j_t - j_s, k + i_t - i_s]; the
+    # innermost axis, i_t, reads the table forwards
+    hth = np.lib.stride_tricks.as_strided(
+        tiled[n:, k:], shape=(n, k, n, k), strides=(-s0, -s1, s0, s1),
+        writeable=False)
 
     def build(lam_over_nu: float, row_weights: np.ndarray) -> np.ndarray:
         q = diff.weighted_gram_dense(row_weights)
         q *= lam_over_nu
-        q += hth
+        grid = q.reshape(hth.shape)
+        np.add(grid, hth, out=grid)
         return q
 
     return build

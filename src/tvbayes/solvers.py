@@ -3,6 +3,7 @@
 Preconditioned conjugate gradients for the matrix-free MAP solves, and a
 dense Cholesky wrapper for the mean-field covariances (whole, or as the
 factor L^{-T} of ``inverse_factor``) and the sampler's correlated draws.
+``triangular_gram`` turns that factor into the covariance in its own memory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy.linalg import lapack, solve_triangular
 
 from .errors import NotSpdError, PcgError, SpentFactorError
 
-__all__ = ["PcgResult", "pcg_solve", "SpdFactor"]
+__all__ = ["PcgResult", "pcg_solve", "SpdFactor", "triangular_gram"]
 
 
 @dataclass
@@ -147,24 +148,20 @@ class SpdFactor:
         return x
 
     def inverse(self) -> np.ndarray:
-        # dpotri works on its own copy, so the factor survives
-        inv, info = lapack.dpotri(self._live(), lower=1)
-        if info != 0:
-            raise NotSpdError(f"dpotri failed with info={info}", pivot=int(info))
-        # dpotri fills the lower triangle only: mirror it column by column
-        for j in range(1, self.n):
-            inv[:j, j] = inv[j, :j]
-        # the transpose of the Fortran-ordered symmetric result is the same
-        # matrix in C order
-        return inv.T
+        # L^{-T} from a copy of the factor, so the factor survives; dtrtri
+        # then dlauum is the whole of dpotri
+        return triangular_gram(self._inverse_factor(overwrite=False))
 
     def inverse_factor(self) -> np.ndarray:
         """G = L^{-T}, upper triangular and C-ordered, so that A^{-1} = G G'."""
+        return self._inverse_factor(self._overwrite)
+
+    def _inverse_factor(self, overwrite: bool) -> np.ndarray:
         # dtrtri leaves the input entries above L^{-1}; in the factor's own
-        # memory (overwrite=True) it spends the factor
+        # memory (overwrite) it spends the factor
         linv, info = lapack.dtrtri(self._live(), lower=1,
-                                   overwrite_c=self._overwrite)
-        if self._overwrite:
+                                   overwrite_c=overwrite)
+        if overwrite:
             self._factor = None
         if info != 0:
             raise NotSpdError(f"dtrtri failed with info={info}", pivot=int(info))
@@ -179,10 +176,33 @@ class SpdFactor:
     def sample_precision(self, mean: np.ndarray, rng: np.random.Generator,
                          size: int | None = None) -> np.ndarray:
         """Draw from N(mean, A^{-1}) where A = L L' is the factored matrix."""
+        # dpotrf succeeded, so the factor is finite: the scan that
+        # check_finite makes of it (an N x N mask per draw) is skipped
         factor = self._live()
         if size is None:
             z = rng.standard_normal(self.n)
-            return mean + solve_triangular(factor, z, lower=True, trans="T")
+            return mean + solve_triangular(factor, z, lower=True, trans="T",
+                                           check_finite=False)
         z = rng.standard_normal((self.n, size))
-        draws = solve_triangular(factor, z, lower=True, trans="T")
+        draws = solve_triangular(factor, z, lower=True, trans="T",
+                                 check_finite=False)
         return mean[:, None] + draws
+
+
+def triangular_gram(g: np.ndarray) -> np.ndarray:
+    """G G' for an upper-triangular, C-ordered G (as ``inverse_factor``
+    returns), formed in G's own memory and returned C-ordered.
+
+    G's strict lower triangle is not read. G is spent: it now holds G G'.
+    """
+    if not (g.flags.c_contiguous and g.dtype == np.float64):
+        # f2py would hand dlauum a copy, and the product would be lost
+        raise ValueError("triangular_gram needs a C-ordered float64 array")
+    # the Fortran view of G is the lower-triangular G'; dlauum forms
+    # (G')' G' = G G' in that lower triangle, which is G's upper one
+    _, info = lapack.dlauum(g.T, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dlauum")
+    for i in range(1, g.shape[0]):
+        g[i, :i] = g[:i, i]
+    return g

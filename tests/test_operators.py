@@ -364,6 +364,28 @@ class TestWeightedGram:
         np.testing.assert_allclose(weighted_gram_matvec(h, d, ratio, w, v),
                                    qd @ v, atol=1e-12)
 
+    @pytest.mark.parametrize("k,n,size", [(24, 24, 5), (1, 17, 5), (5, 1, 7),
+                                          (3, 4, 5), (6, 6, 3), (2, 3, 5),
+                                          (32, 32, 5), (1, 32, 5)])
+    def test_dense_hth_matches_dense_blur(self, k, n, size):
+        # H'H read from the lag table against the product of the dense
+        # oracle, for a Gaussian and an asymmetric mask; (5, 1, 7),
+        # (3, 4, 5) and (2, 3, 5) alias the mask by periodic wrap
+        lat = LatticeSpec(k, n)
+        d = DiffOperator(lat)
+        rng = np.random.default_rng(19)
+        w = rng.uniform(size=(size, size))
+        for mask in (gaussian_kernel(size, size / 4.0), w / w.sum()):
+            h = BlurOperator(mask, lat)
+            hd = h.to_dense()
+            hth = dense_gram(h, d)(0.0, rng.uniform(0.1, 3.0, size=d.n_rows))
+            assert hth.flags.c_contiguous
+            assert np.array_equal(hth, hth.T)
+            # the same sums of products in another order; entries are <= 1
+            np.testing.assert_allclose(hth, hd.T @ hd, rtol=0, atol=1e-15)
+            # exact zeros where no two taps meet, as in the product
+            np.testing.assert_array_equal(hth == 0.0, hd.T @ hd == 0.0)
+
     def test_spd_on_random_instances(self):
         h, d, lat = self._ops()
         rng = np.random.default_rng(11)

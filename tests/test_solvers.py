@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import lapack, solve_triangular
 
 from tvbayes.errors import NotSpdError, PcgError, SpentFactorError
-from tvbayes.solvers import SpdFactor, pcg_solve
+from tvbayes.solvers import SpdFactor, pcg_solve, triangular_gram
 
 
 def random_spd(n, rng, cond=10.0):
@@ -324,6 +324,39 @@ class TestSpdFactorLayout:
             f.sample_precision(mean, np.random.default_rng(1)),
             ref.sample_precision(mean, np.random.default_rng(1)),
             rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_draws_equal_checked_solve(self, n):
+        # the draws skip solve_triangular's finiteness scan of the factor
+        rng = np.random.default_rng(600 + n)
+        f = SpdFactor(symmetric_spd(n, rng))
+        mean = rng.normal(size=n)
+        for size in (None, 3):
+            z = np.random.default_rng(9).standard_normal(
+                n if size is None else (n, size))
+            want = solve_triangular(f._factor, z, lower=True, trans="T",
+                                    check_finite=True)
+            want = mean + want if size is None else mean[:, None] + want
+            np.testing.assert_array_equal(
+                f.sample_precision(mean, np.random.default_rng(9), size=size),
+                want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_triangular_gram_in_place(self, n):
+        rng = np.random.default_rng(700 + n)
+        g = SpdFactor(symmetric_spd(n, rng)).inverse_factor()
+        want = g @ g.T
+        got = triangular_gram(g)
+        assert got is g
+        assert np.array_equal(got, got.T)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_triangular_gram_rejects_copied_layouts(self):
+        # LAPACK would get a copy of these, and G G' would be lost
+        g = SpdFactor(symmetric_spd(4, np.random.default_rng(9))).inverse_factor()
+        for bad in (np.asfortranarray(g), g.astype(np.float32)):
+            with pytest.raises(ValueError):
+                triangular_gram(bad)
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
