@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -276,8 +277,17 @@ class VbOptions:
 
 @dataclass
 class VbState:
+    """The mean-field factors at the end of a VB run.
+
+    q(x) is Gaussian with mean ``x_mean`` and covariance Cov(x), kept as its
+    diagonal ``x_var``. ``x_cov`` forms the whole N x N matrix when it is
+    read, from the last sweep's x-system: precision ``x_nu`` * (H'H +
+    ``x_lam_over_nu`` D' W D) with W = diag(``x_weights``), built by
+    ``x_build``.
+    """
+
     x_mean: np.ndarray
-    x_cov: np.ndarray
+    x_var: np.ndarray    # diag Cov(x)
     nu_shape: float
     nu_rate: float
     lam_shape: float
@@ -289,6 +299,11 @@ class VbState:
     e_dx2: np.ndarray    # cached E((difference)^2) per difference row
     iterations: int
     converged: bool
+    # the last sweep's x-system, which ``x_cov`` factors again
+    x_build: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
+    x_lam_over_nu: float = field(repr=False)
+    x_weights: np.ndarray = field(repr=False)
+    x_nu: float = field(repr=False)
     # one row per iteration: (relative x change, nu mean, lambda mean)
     trace: np.ndarray = field(repr=False, default=None)
 
@@ -302,7 +317,22 @@ class VbState:
 
     @property
     def x_std(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.x_cov))
+        return np.sqrt(self.x_var)
+
+    @property
+    def x_cov(self) -> np.ndarray:
+        """Cov(x), a fresh C-ordered N x N array on every read.
+
+        Each read builds the last sweep's precision and factors it again
+        (one dense Cholesky factorisation), and forms L^{-T} and then Cov(x)
+        in the precision's memory, so a read holds one N x N array. The
+        result equals the covariance of that sweep's factor bit for bit.
+        """
+        factor = SpdFactor(self.x_build(self.x_lam_over_nu, self.x_weights),
+                           overwrite=True)
+        cov = triangular_gram(factor.inverse_factor())
+        cov /= self.x_nu
+        return cov
 
 
 def vb_run(y: np.ndarray, model: ModelSpec,
@@ -312,12 +342,12 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     The x factor is Gaussian with dense covariance, so the run is capacity
     gated; nu and lambda factors are gammas with fixed shapes; latent-scale
     factors are GIG with shared (a, p) and per-latent second parameter.
-    A sweep reads from Cov(x) only diag(D Cov(x) D'), from the rows of the
-    inverse Cholesky factor L^{-T}; the full covariance ``x_cov`` is formed
-    once, from the last sweep's L^{-T}. Each factor is formed in the memory
-    of its precision, L^{-T} in the factor's (which spends it) and ``x_cov``
-    in L^{-T}'s, and H'H is read from its lag table, so one N x N array is
-    live at a time.
+    A sweep reads from Cov(x) only diag(D Cov(x) D') and diag Cov(x), from
+    the rows of the inverse Cholesky factor L^{-T}. Each factor is formed in
+    the memory of its precision and L^{-T} in the factor's (which spends
+    it), and H'H is read from its lag table, so one N x N array is live at
+    a time. The result keeps diag Cov(x) and the last sweep's x-system, not
+    an N x N array: ``VbState.x_cov`` forms the covariance when it is read.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -336,9 +366,8 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         iterations = it
         x_prev = x_mean
         weights = 0.5 * model.latents_to_rows(e_inv_r)
-        factor = SpdFactor(x_precision(lam_mean / nu_mean, weights),
-                           overwrite=True)
-        nu_built = nu_mean
+        ratio, nu_built = lam_mean / nu_mean, nu_mean
+        factor = SpdFactor(x_precision(ratio, weights), overwrite=True)
         x_mean = factor.solve(hty)
         rel = float(np.linalg.norm(x_mean - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
@@ -346,13 +375,11 @@ def vb_run(y: np.ndarray, model: ModelSpec,
 
         sq_resid, dx2 = x_statistics(x_mean, y, model)
         g = factor.inverse_factor()
-        row_var = model.diff.factor_row_quadratic(g)
-        row_var /= nu_built
-        if converged or it == opts.maxit:
-            x_cov = triangular_gram(g)
-            x_cov /= nu_built
+        row_var, x_var = model.diff.factor_row_quadratic(g)
         # freed before the next sweep's precision is built
         del g
+        row_var /= nu_built
+        x_var /= nu_built
         e_dx2 = dx2 + row_var
 
         # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
@@ -378,12 +405,13 @@ def vb_run(y: np.ndarray, model: ModelSpec,
             break
 
     return VbState(
-        x_mean=x_mean, x_cov=x_cov,
+        x_mean=x_mean, x_var=x_var,
         nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
         lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
         r_a=a, r_b=r_b, r_p=p_cond,
         e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
-        converged=converged, trace=np.asarray(trace))
+        converged=converged, x_build=x_precision, x_lam_over_nu=ratio,
+        x_weights=weights, x_nu=nu_built, trace=np.asarray(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -358,15 +358,21 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
     """Parameters of a full conditional at the state.
 
     ``which`` is "x", "nu", "lambda", or ("r", index). The x-conditional
-    assembles the dense system matrix and is capacity gated.
+    assembles the dense system matrix and is capacity gated; it builds the
+    matrix twice, once to factor in place for the mean and once for the
+    returned precision, so one N x N array is live at a time.
     """
     state.validate(model)
     y = np.asarray(y, dtype=float)
     if which == "x":
-        q = dense_gram(model.blur, model.diff)(
-            state.lam / state.nu, row_weights_from_r(state.r, model))
-        mean = SpdFactor(q).solve(model.blur.rmatvec(y))
-        return GaussianParams(mean, state.nu * q)
+        build = dense_gram(model.blur, model.diff)
+        ratio = state.lam / state.nu
+        weights = row_weights_from_r(state.r, model)
+        mean = SpdFactor(build(ratio, weights), overwrite=True).solve(
+            model.blur.rmatvec(y))
+        precision = build(ratio, weights)
+        precision *= state.nu
+        return GaussianParams(mean, precision)
     sq_resid, dx2 = x_statistics(state.x, y, model)
     if which == "nu":
         return nu_conditional(sq_resid, model)

@@ -206,17 +206,19 @@ class DiffOperator:
                   np.concatenate((w, w, -w, -w)))
         return out
 
-    def factor_row_quadratic(self, g: np.ndarray) -> np.ndarray:
-        """diag(D G G' D') for a dense N x N G: per row (p, q) of D,
-        |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over the step
-        table's row slices of G as in ``matvec`` (no D G is formed)."""
+    def factor_row_quadratic(self, g: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """diag(D G G' D') and diag(G G') for a dense N x N G: per row
+        (p, q) of D, |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over
+        the step table's row slices of G as in ``matvec`` (no D G is
+        formed), and the squared row norms |G[s]|^2 it sums."""
         g3 = g.reshape(*self._grid, -1)
         dots = np.empty(self.n_rows)
         rows = dots.reshape(self._rows)
         for ahead, here, row in self._steps:
             np.einsum("jil,jil->ji", g3[ahead], g3[here], out=rows[row])
         sq = np.einsum("ij,ij->i", g, g)
-        return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots
+        return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots, sq
 
     def to_dense(self) -> np.ndarray:
         _check_dense(self.lattice.size, "difference operator assembly")
@@ -435,13 +437,17 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     are given (so each result is overwritten by the next apply), and
     allocates fresh arrays when they are not.
     """
-    eig = (blur._gram
-           + lam_over_nu * mean_weight * diff.gram_eigenvalues())
-    eig = np.maximum(eig, 1e-300)
+    # the reciprocal spectrum, formed in place: numpy divides by (c + 0i) as
+    # a multiply by 1/c, so each apply's multiply by it equals the division
+    # by the spectrum bit for bit
+    inv_eig = (blur._gram
+               + lam_over_nu * mean_weight * diff.gram_eigenvalues())
+    np.maximum(inv_eig, 1e-300, out=inv_eig)
+    np.divide(1.0, inv_eig, out=inv_eig)
     lattice = blur.lattice
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return _fourier_apply(lattice, v, np.divide, eig, out, spec)
+        return _fourier_apply(lattice, v, np.multiply, inv_eig, out, spec)
 
     return apply
 

@@ -391,8 +391,9 @@ class TestDenseGram:
 
 
 class TestVbCovariance:
-    """A VB sweep reads diag(D Cov(x) D') from L^{-T}; Cov(x) is formed once,
-    in the memory of the last sweep's L^{-T}."""
+    """A VB sweep reads diag(D Cov(x) D') and diag Cov(x) from L^{-T}; the
+    result keeps diag Cov(x), and ``x_cov`` forms Cov(x) on each read, in
+    the memory of a fresh L^{-T} of the last sweep's precision."""
 
     def test_inverse_factor_per_sweep_gram_once(self, monkeypatch):
         import tvbayes.estimators as est
@@ -413,9 +414,14 @@ class TestVbCovariance:
         model, _, y = signal_problem()
         res = vb_run(y, model)
         assert res.iterations > 1
-        # x_cov is L^{-T} (L^{-T})' formed in the last sweep's L^{-T}
         assert calls == {"inverse_factor": res.iterations, "inverse": 0,
-                         "triangular_gram": 1}
+                         "triangular_gram": 0}
+        # each read of x_cov factors the last sweep's precision again and
+        # forms L^{-T} (L^{-T})' in that L^{-T}
+        for reads in (1, 2):
+            res.x_cov
+            assert calls == {"inverse_factor": res.iterations + reads,
+                             "inverse": 0, "triangular_gram": reads}
 
     @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()])
     def test_one_sweep_x_cov(self, prior):
@@ -428,11 +434,29 @@ class TestVbCovariance:
         q = dense_gram(model.blur, model.diff)(s.lam / s.nu, w0)
         assert np.array_equal(res.x_cov, SpdFactor(q).inverse() / s.nu)
 
+    @pytest.mark.parametrize("problem", [
+        lambda: signal_problem(),
+        lambda: image_problem(k=8),
+        lambda: image_problem(k=6, seed=21, prior=Laplace2D(),
+                              hyper=STABLE_HYPER),
+    ], ids=["signal", "image", "pooled"])
+    def test_x_var_is_the_covariance_diagonal(self, problem):
+        model, _, y = problem()
+        res = vb_run(y, model)
+        cov = res.x_cov
+        np.testing.assert_allclose(res.x_var, np.diag(cov), rtol=1e-12)
+        np.testing.assert_allclose(res.x_std, np.sqrt(np.diag(cov)),
+                                   rtol=1e-12)
+        # a read hands out a fresh array: writing to it changes no later read
+        cov[:] = 0.0
+        np.testing.assert_allclose(res.x_var, np.diag(res.x_cov), rtol=1e-12)
+
 
 class TestDenseFootprint:
     """VB and Gibbs keep one N x N array live: the sweep's precision, which
-    becomes its factor, L^{-T} and, on VB's last sweep, ``x_cov``. H'H is
-    read from its 4N-float lag table."""
+    becomes its factor and, in VB, L^{-T}. H'H is read from its 4N-float
+    lag table. A VB result holds no N x N array, and the x-conditional of
+    ``conditional_params`` peaks at one."""
 
     RUNS = {"vb": lambda y, model: vb_run(y, model),
             "gibbs": lambda y, model: gibbs_run(
@@ -461,6 +485,32 @@ class TestDenseFootprint:
     @pytest.mark.parametrize("engine", sorted(RUNS))
     def test_peak_one_dense_array(self, engine):
         assert self.peak_over_dense(engine) <= 1.25
+
+    def test_vb_result_holds_no_dense_array(self):
+        model, _, y = image_problem(k=24)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = vb_run(y, model)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 1
+        assert (live - start) / (8 * model.n_pixels ** 2) < 0.05
+
+    def test_conditional_params_x_peak_one_dense_array(self):
+        model, _, y = image_problem(k=24)
+        state = initial_state(y, model)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cond = conditional_params(state, y, model, "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cond.precision.shape == (model.n_pixels,) * 2
+        assert (peak - start) / (8 * model.n_pixels ** 2) <= 1.25
 
 
 class TestVb:

@@ -224,9 +224,11 @@ class TestDiffOperator:
         rng = np.random.default_rng(4)
         g = rng.normal(size=(k * n, k * n))
         dm = d.to_dense()
-        want = np.einsum("ri,ij,rj->r", dm, g @ g.T, dm)
-        np.testing.assert_allclose(d.factor_row_quadratic(g), want,
-                                   rtol=1e-12)
+        ggt = g @ g.T
+        want = np.einsum("ri,ij,rj->r", dm, ggt, dm)
+        rows, sq = d.factor_row_quadratic(g)
+        np.testing.assert_allclose(rows, want, rtol=1e-12)
+        np.testing.assert_allclose(sq, np.diag(ggt), rtol=1e-12)
 
 
 class TestGaussianKernel:
@@ -385,6 +387,23 @@ class TestWeightedGram:
             np.testing.assert_allclose(hth, hd.T @ hd, rtol=0, atol=1e-15)
             # exact zeros where no two taps meet, as in the product
             np.testing.assert_array_equal(hth == 0.0, hd.T @ hd == 0.0)
+
+    @pytest.mark.parametrize("k,n,size", BLUR_CASES + [(24, 24, 7)])
+    def test_precond_equals_division(self, k, n, size):
+        # the stored reciprocal spectrum against the division by the
+        # spectrum it replaced, bit for bit, with lambda/nu over 16 decades
+        lat = LatticeSpec(k, n)
+        h = BlurOperator(gaussian_kernel(size, size / 4.0), lat)
+        d = DiffOperator(lat)
+        rng = np.random.default_rng(20)
+        v = rng.normal(size=lat.size)
+        grid = lat.to_grid(v)
+        for ratio in np.geomspace(1e-8, 1e8, 9):
+            eig = np.maximum(h._gram + ratio * 1.3 * d.gram_eigenvalues(),
+                             1e-300)
+            want = np.fft.irfft2(np.fft.rfft2(grid) / eig, s=grid.shape)
+            got = circulant_gram_precond(h, d, ratio, 1.3)(v)
+            np.testing.assert_array_equal(got, lat.to_stacked(want))
 
     def test_spd_on_random_instances(self):
         h, d, lat = self._ops()
