@@ -45,8 +45,8 @@ class NotSpdError(TvBayesError, ValueError):
 
 
 class SpentFactorError(TvBayesError, RuntimeError):
-    """A Cholesky factor was used after its memory was given to its inverse
-    factor (``SpdFactor(..., overwrite=True).inverse_factor()``)."""
+    """A Cholesky factor was used after its memory was given to an inverse
+    (``SpdFactor(..., overwrite=True).inverse()`` or ``.inverse_factor()``)."""
 
 
 class PcgError(TvBayesError, RuntimeError):

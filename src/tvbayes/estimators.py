@@ -4,13 +4,16 @@
   mode of its full conditional in turn (x by a preconditioned CG solve, nu
   and lambda by closed gamma modes, the latent scales by the GIG mode).
 * :func:`vb_run` - mean-field approximation q(x) q(nu) q(lambda) prod q(r),
-  cycled to a fixed point; dense, so capacity gated.
+  cycled to a fixed point; dense, so capacity gated. The result keeps diag
+  Cov(x); ``VbState.x_cov`` inverts the last sweep's precision (dpotri) on
+  each read.
 * :func:`gibbs_run` - systematic-scan sampler over the same conditionals,
   with running moments of the kept draws.
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
 
 All engines share the same data-driven initialisation: x from the adjoint
-of the data, nu as the reciprocal mean squared residual there (not the mode
+H'y of the data (which then also serves as the right-hand side of the
+x-systems), nu as the reciprocal mean squared residual there (not the mode
 of its conditional), latent scales at the mixing-prior mean and lambda at
 the mode of its conditional given those. All three engines apply one
 divergence guard, to the starting lambda and after every lambda update:
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,7 +62,7 @@ from .operators import (
     dense_gram,
     weighted_gram_matvec,
 )
-from .solvers import SpdFactor, pcg_solve, triangular_gram
+from .solvers import SpdFactor, pcg_solve
 
 __all__ = [
     "IasOptions",
@@ -108,7 +112,9 @@ def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None
     state = init if init is not None else initial_state(y, model)
     state.validate(model)
     _check_lambda(state.lam, 0)
-    return y, state, model.blur.rmatvec(y)
+    # the default start x0 is H'y itself; no engine writes to either (PCG
+    # copies its start, and VB and Gibbs only read H'y)
+    return y, state, state.x if init is None else model.blur.rmatvec(y)
 
 
 def _check_lambda(lam: float, iteration: int):
@@ -220,8 +226,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
-    # the caller owns an ``opts.init`` state; otherwise x0 and r0 are freed
-    # before the first CG solve
+    # the caller owns an ``opts.init`` state; otherwise r0 is freed before
+    # the first CG solve (x0 is H'y, held for the whole run)
     del state
     weights = row_weights_from_r(r, model)
     trace, substeps = [], []
@@ -281,9 +287,9 @@ class VbState:
 
     q(x) is Gaussian with mean ``x_mean`` and covariance Cov(x), kept as its
     diagonal ``x_var``. ``x_cov`` forms the whole N x N matrix when it is
-    read, from the last sweep's x-system: precision ``x_nu`` * (H'H +
-    ``x_lam_over_nu`` D' W D) with W = diag(``x_weights``), built by
-    ``x_build``.
+    read, from the last sweep's x-system: precision ``x_nu`` * Q, where
+    ``x_precision()`` builds a fresh Q = H'H + (lambda/nu) D' W D at that
+    sweep's lambda/nu and row weights W.
     """
 
     x_mean: np.ndarray
@@ -300,9 +306,7 @@ class VbState:
     iterations: int
     converged: bool
     # the last sweep's x-system, which ``x_cov`` factors again
-    x_build: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
-    x_lam_over_nu: float = field(repr=False)
-    x_weights: np.ndarray = field(repr=False)
+    x_precision: Callable[[], np.ndarray] = field(repr=False)
     x_nu: float = field(repr=False)
     # one row per iteration: (relative x change, nu mean, lambda mean)
     trace: np.ndarray = field(repr=False, default=None)
@@ -323,14 +327,12 @@ class VbState:
     def x_cov(self) -> np.ndarray:
         """Cov(x), a fresh C-ordered N x N array on every read.
 
-        Each read builds the last sweep's precision and factors it again
-        (one dense Cholesky factorisation), and forms L^{-T} and then Cov(x)
+        Each read builds the last sweep's precision, factors it again (one
+        dense Cholesky factorisation) and inverts it by LAPACK's dpotri, all
         in the precision's memory, so a read holds one N x N array. The
         result equals the covariance of that sweep's factor bit for bit.
         """
-        factor = SpdFactor(self.x_build(self.x_lam_over_nu, self.x_weights),
-                           overwrite=True)
-        cov = triangular_gram(factor.inverse_factor())
+        cov = SpdFactor(self.x_precision(), overwrite=True).inverse()
         cov /= self.x_nu
         return cov
 
@@ -410,8 +412,8 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
         r_a=a, r_b=r_b, r_p=p_cond,
         e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
-        converged=converged, x_build=x_precision, x_lam_over_nu=ratio,
-        x_weights=weights, x_nu=nu_built, trace=np.asarray(trace))
+        converged=converged, x_precision=partial(x_precision, ratio, weights),
+        x_nu=nu_built, trace=np.asarray(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -360,11 +360,7 @@ def read_pgm(path) -> np.ndarray:
 
 def write_signal_csv(path, values: np.ndarray, header: str = "value"):
     """One sample per line at 17 significant digits (lossless round trip)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header])
-        for v in np.asarray(values, dtype=float):
-            writer.writerow([format(v, ".17g")])
+    write_table_csv(path, [header], zip(np.asarray(values, dtype=float)))
 
 
 def read_signal_csv(path) -> np.ndarray:

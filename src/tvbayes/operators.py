@@ -229,17 +229,17 @@ class DiffOperator:
         return out
 
 
-def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, op, mult: np.ndarray,
+def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
                    out: np.ndarray | None,
                    spec: np.ndarray | None) -> np.ndarray:
-    """op(rfft2(x), mult) transformed back, as a stacked vector.
+    """rfft2(x) * mult transformed back, as a stacked vector.
 
-    The spectrum is formed and combined with ``mult`` in ``spec`` and the
+    The spectrum is formed and multiplied by ``mult`` in ``spec`` and the
     result written into ``out``; either is allocated when None.
     """
     grid = lattice.to_grid(x)
     spec = np.fft.rfft2(grid, out=spec)
-    op(spec, mult, out=spec)
+    np.multiply(spec, mult, out=spec)
     if out is None:
         out = np.empty(lattice.size)
     # numpy 2.4's irfft2 hands out=None on to irfftn whatever out it is
@@ -283,6 +283,8 @@ class BlurOperator:
         w = np.asarray(self.kernel, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be odd square, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("kernel weights must be finite")
         if np.any(w < 0):
             raise ValueError("kernel weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -310,7 +312,7 @@ class BlurOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected stacked vector of length {self.size}")
-        return _fourier_apply(self.lattice, x, np.multiply, mult, out, spec)
+        return _fourier_apply(self.lattice, x, mult, out, spec)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x, self._fwd)
@@ -447,7 +449,7 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     lattice = blur.lattice
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return _fourier_apply(lattice, v, np.multiply, inv_eig, out, spec)
+        return _fourier_apply(lattice, v, inv_eig, out, spec)
 
     return apply
 

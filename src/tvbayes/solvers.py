@@ -1,9 +1,9 @@
 """Inner linear-algebra kernels.
 
 Preconditioned conjugate gradients for the matrix-free MAP solves, and a
-dense Cholesky wrapper for the mean-field covariances (whole, or as the
-factor L^{-T} of ``inverse_factor``) and the sampler's correlated draws.
-``triangular_gram`` turns that factor into the covariance in its own memory.
+dense Cholesky wrapper for the mean-field covariances (whole, by LAPACK's
+dpotri, or as the factor L^{-T} of ``inverse_factor``) and the sampler's
+correlated draws.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.linalg import lapack, solve_triangular
 
 from .errors import NotSpdError, PcgError, SpentFactorError
 
-__all__ = ["PcgResult", "pcg_solve", "SpdFactor", "triangular_gram"]
+__all__ = ["PcgResult", "pcg_solve", "SpdFactor"]
 
 
 @dataclass
@@ -106,17 +106,16 @@ class SpdFactor:
     when ``matrix`` is C-ordered). The factor is kept as LAPACK returns it:
     Fortran-ordered, with L in the lower triangle and the input's entries
     still in the strict upper one. Every routine used on it reads the lower
-    triangle or the diagonal only. ``inverse()`` returns a fresh C-ordered
-    array.
+    triangle or the diagonal only. Both inverses come back C-ordered.
 
     By default ``matrix`` is left untouched: the factor lives in a copy, and
-    ``inverse_factor()`` returns a fresh array and leaves the factor as it
-    was. With ``overwrite=True`` the caller gives up ``matrix``, as with
-    scipy's ``overwrite_a``: a C-ordered float64 ``matrix`` is factored in
-    its own memory (any other layout still goes to a copy, and a failed
-    factorisation leaves ``matrix`` undefined), and ``inverse_factor()``
-    forms G in the factor's memory. That spends the factor: ``solve``,
-    ``inverse``, ``logdet`` and ``sample_precision`` then raise
+    ``inverse()`` and ``inverse_factor()`` return fresh arrays and leave the
+    factor as it was. With ``overwrite=True`` the caller gives up
+    ``matrix``, as with scipy's ``overwrite_a``: a C-ordered float64
+    ``matrix`` is factored in its own memory (any other layout still goes to
+    a copy, and a failed factorisation leaves ``matrix`` undefined), and the
+    first ``inverse()`` or ``inverse_factor()`` is formed in the factor's
+    memory. That spends the factor: every method then raises
     :class:`SpentFactorError`.
     """
 
@@ -137,8 +136,8 @@ class SpdFactor:
 
     def _live(self) -> np.ndarray:
         if self._factor is None:
-            raise SpentFactorError("the factor's memory now holds its inverse "
-                                   "factor (overwrite=True)")
+            raise SpentFactorError("the factor's memory now holds an inverse "
+                                   "(overwrite=True)")
         return self._factor
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -148,27 +147,33 @@ class SpdFactor:
         return x
 
     def inverse(self) -> np.ndarray:
-        # L^{-T} from a copy of the factor, so the factor survives; dtrtri
-        # then dlauum is the whole of dpotri
-        return triangular_gram(self._inverse_factor(overwrite=False))
+        """A^{-1}, symmetric and C-ordered."""
+        # dpotri leaves A^{-1} in the lower triangle of the Fortran factor,
+        # which is the upper one of its C-ordered transpose
+        inv = self._invert(lapack.dpotri)
+        for i in range(1, self.n):
+            inv[i, :i] = inv[:i, i]
+        return inv
 
     def inverse_factor(self) -> np.ndarray:
         """G = L^{-T}, upper triangular and C-ordered, so that A^{-1} = G G'."""
-        return self._inverse_factor(self._overwrite)
-
-    def _inverse_factor(self, overwrite: bool) -> np.ndarray:
-        # dtrtri leaves the input entries above L^{-1}; in the factor's own
-        # memory (overwrite) it spends the factor
-        linv, info = lapack.dtrtri(self._live(), lower=1,
-                                   overwrite_c=overwrite)
-        if overwrite:
-            self._factor = None
-        if info != 0:
-            raise NotSpdError(f"dtrtri failed with info={info}", pivot=int(info))
-        g = linv.T
+        # dtrtri leaves the input's entries above L^{-1}
+        g = self._invert(lapack.dtrtri)
         for i in range(1, self.n):
             g[i, :i] = 0.0
         return g
+
+    def _invert(self, routine) -> np.ndarray:
+        """``routine`` (dpotri or dtrtri) on the factor, as the C-ordered
+        transpose of its result: in the factor's own memory when it is owned
+        (overwrite=True), which spends it, and in a copy otherwise."""
+        out, info = routine(self._live(), lower=1, overwrite_c=self._overwrite)
+        if self._overwrite:
+            self._factor = None
+        if info != 0:
+            raise NotSpdError(f"{routine.__name__} failed with info={info}",
+                              pivot=int(info))
+        return out.T
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._live()))))
@@ -187,22 +192,3 @@ class SpdFactor:
         draws = solve_triangular(factor, z, lower=True, trans="T",
                                  check_finite=False)
         return mean[:, None] + draws
-
-
-def triangular_gram(g: np.ndarray) -> np.ndarray:
-    """G G' for an upper-triangular, C-ordered G (as ``inverse_factor``
-    returns), formed in G's own memory and returned C-ordered.
-
-    G's strict lower triangle is not read. G is spent: it now holds G G'.
-    """
-    if not (g.flags.c_contiguous and g.dtype == np.float64):
-        # f2py would hand dlauum a copy, and the product would be lost
-        raise ValueError("triangular_gram needs a C-ordered float64 array")
-    # the Fortran view of G is the lower-triangular G'; dlauum forms
-    # (G')' G' = G G' in that lower triangle, which is G's upper one
-    _, info = lapack.dlauum(g.T, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dlauum")
-    for i in range(1, g.shape[0]):
-        g[i, :i] = g[:i, i]
-    return g

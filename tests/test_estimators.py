@@ -84,6 +84,26 @@ class TestInitialState:
         state = initial_state(y, model)
         assert state.r[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("run", [
+        lambda y, model: ias_run(y, model),
+        lambda y, model: vb_run(y, model),
+        lambda y, model: gibbs_run(y, model, GibbsOptions(seed=1, samples=5)),
+    ], ids=["ias", "vb", "gibbs"])
+    def test_one_adjoint_per_default_start_run(self, run, monkeypatch):
+        # the start x0 = H'y is also the right-hand side of the x-systems
+        from tvbayes.operators import BlurOperator
+        calls = []
+        rmatvec = BlurOperator.rmatvec
+
+        def counted(self, x):
+            calls.append(1)
+            return rmatvec(self, x)
+
+        monkeypatch.setattr(BlurOperator, "rmatvec", counted)
+        model, _, y = signal_problem()
+        run(y, model)
+        assert len(calls) == 1
+
 
 class TestIasUpdates:
     def test_laplace_r_formula(self):
@@ -392,13 +412,12 @@ class TestDenseGram:
 
 class TestVbCovariance:
     """A VB sweep reads diag(D Cov(x) D') and diag Cov(x) from L^{-T}; the
-    result keeps diag Cov(x), and ``x_cov`` forms Cov(x) on each read, in
-    the memory of a fresh L^{-T} of the last sweep's precision."""
+    result keeps diag Cov(x), and ``x_cov`` forms Cov(x) on each read by
+    dpotri, in the memory of a fresh factor of the last sweep's precision."""
 
     def test_inverse_factor_per_sweep_gram_once(self, monkeypatch):
-        import tvbayes.estimators as est
         from tvbayes.solvers import SpdFactor
-        calls = {"inverse_factor": 0, "inverse": 0, "triangular_gram": 0}
+        calls = {"inverse_factor": 0, "inverse": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -409,19 +428,16 @@ class TestVbCovariance:
         for name in ("inverse_factor", "inverse"):
             monkeypatch.setattr(SpdFactor, name,
                                 counted(name, getattr(SpdFactor, name)))
-        monkeypatch.setattr(est, "triangular_gram",
-                            counted("triangular_gram", est.triangular_gram))
         model, _, y = signal_problem()
         res = vb_run(y, model)
         assert res.iterations > 1
-        assert calls == {"inverse_factor": res.iterations, "inverse": 0,
-                         "triangular_gram": 0}
+        assert calls == {"inverse_factor": res.iterations, "inverse": 0}
         # each read of x_cov factors the last sweep's precision again and
-        # forms L^{-T} (L^{-T})' in that L^{-T}
+        # inverts it in that memory
         for reads in (1, 2):
             res.x_cov
-            assert calls == {"inverse_factor": res.iterations + reads,
-                             "inverse": 0, "triangular_gram": reads}
+            assert calls == {"inverse_factor": res.iterations,
+                             "inverse": reads}
 
     @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()])
     def test_one_sweep_x_cov(self, prior):
@@ -455,8 +471,8 @@ class TestVbCovariance:
 class TestDenseFootprint:
     """VB and Gibbs keep one N x N array live: the sweep's precision, which
     becomes its factor and, in VB, L^{-T}. H'H is read from its 4N-float
-    lag table. A VB result holds no N x N array, and the x-conditional of
-    ``conditional_params`` peaks at one."""
+    lag table. A VB result holds no N x N array, and a read of its
+    ``x_cov`` and the x-conditional of ``conditional_params`` peak at one."""
 
     RUNS = {"vb": lambda y, model: vb_run(y, model),
             "gibbs": lambda y, model: gibbs_run(
@@ -497,6 +513,20 @@ class TestDenseFootprint:
             tracemalloc.stop()
         assert res.iterations > 1
         assert (live - start) / (8 * model.n_pixels ** 2) < 0.05
+
+    def test_x_cov_read_peak_one_dense_array(self):
+        model, _, y = image_problem(k=24)
+        res = vb_run(y, model)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cov = res.x_cov
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.shape == (model.n_pixels,) * 2
+        assert (peak - start) / (8 * model.n_pixels ** 2) <= 1.25
 
     def test_conditional_params_x_peak_one_dense_array(self):
         model, _, y = image_problem(k=24)

@@ -242,6 +242,10 @@ class TestCsv:
         path = tmp_path / "sig.csv"
         write_signal_csv(path, sig)
         np.testing.assert_array_equal(read_signal_csv(path), sig)
+        # a signal file is a one-column table, byte for byte
+        table = tmp_path / "table.csv"
+        write_table_csv(table, ["value"], sig[:, None])
+        assert path.read_bytes() == table.read_bytes()
 
     def test_table_round_trip(self, tmp_path):
         rows = [(1.0, 2.5, -0.125), (4.0, 5.0, 6.0)]

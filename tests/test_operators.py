@@ -330,6 +330,14 @@ class TestBlurOperator:
         with pytest.raises(ValueError):
             BlurOperator(bad, lat)
 
+    def test_rejects_non_finite_mask(self):
+        # a NaN passes the sign and sum checks, as every comparison with it
+        # is False
+        w = np.full((3, 3), 1.0 / 9.0)
+        w[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            BlurOperator(w, LatticeSpec(4, 4))
+
     def test_capacity_gate(self):
         h = BlurOperator(np.ones((1, 1)), LatticeSpec(80, 80))
         with pytest.raises(CapacityError):

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import lapack, solve_triangular
 
 from tvbayes.errors import NotSpdError, PcgError, SpentFactorError
-from tvbayes.solvers import SpdFactor, pcg_solve, triangular_gram
+from tvbayes.solvers import SpdFactor, pcg_solve
 
 
 def random_spd(n, rng, cond=10.0):
@@ -277,7 +277,6 @@ class TestSpdFactorLayout:
         f = SpdFactor(a, overwrite=True)
         rhs = rng.normal(size=n)
         np.testing.assert_array_equal(f.solve(rhs), ref.solve(rhs))
-        np.testing.assert_array_equal(f.inverse(), ref.inverse())
         assert f.logdet() == ref.logdet()
         np.testing.assert_array_equal(
             f.sample_precision(rhs, np.random.default_rng(7), size=2),
@@ -291,6 +290,12 @@ class TestSpdFactorLayout:
         assert np.shares_memory(g, a) == in_place
         if not in_place:
             np.testing.assert_array_equal(a, a_in)
+        # G spent f: the owned inverse comes from a second owned factor
+        a2 = layouts(a_in.copy())[layout]
+        inv = SpdFactor(a2, overwrite=True).inverse()
+        np.testing.assert_array_equal(inv, ref.inverse())
+        assert inv.flags.c_contiguous
+        assert np.shares_memory(inv, a2) == in_place
 
     def test_overwrite_not_spd_pivot(self):
         with pytest.raises(NotSpdError) as exc:
@@ -299,14 +304,16 @@ class TestSpdFactorLayout:
 
     def test_spent_factor_raises(self):
         rng = np.random.default_rng(8)
-        f = SpdFactor(symmetric_spd(5, rng), overwrite=True)
-        f.inverse_factor()
         mean = np.zeros(5)
-        for use in (lambda: f.solve(mean), f.inverse, f.inverse_factor,
-                    f.logdet, lambda: f.sample_precision(mean, rng),
-                    lambda: f.sample_precision(mean, rng, size=3)):
-            with pytest.raises(SpentFactorError):
-                use()
+        # the first inverse of either kind spends an owned factor
+        for spend in ("inverse", "inverse_factor"):
+            f = SpdFactor(symmetric_spd(5, rng), overwrite=True)
+            getattr(f, spend)()
+            for use in (lambda: f.solve(mean), f.inverse, f.inverse_factor,
+                        f.logdet, lambda: f.sample_precision(mean, rng),
+                        lambda: f.sample_precision(mean, rng, size=3)):
+                with pytest.raises(SpentFactorError):
+                    use()
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
@@ -340,23 +347,6 @@ class TestSpdFactorLayout:
             np.testing.assert_array_equal(
                 f.sample_precision(mean, np.random.default_rng(9), size=size),
                 want)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_triangular_gram_in_place(self, n):
-        rng = np.random.default_rng(700 + n)
-        g = SpdFactor(symmetric_spd(n, rng)).inverse_factor()
-        want = g @ g.T
-        got = triangular_gram(g)
-        assert got is g
-        assert np.array_equal(got, got.T)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    def test_triangular_gram_rejects_copied_layouts(self):
-        # LAPACK would get a copy of these, and G G' would be lost
-        g = SpdFactor(symmetric_spd(4, np.random.default_rng(9))).inverse_factor()
-        for bad in (np.asfortranarray(g), g.astype(np.float32)):
-            with pytest.raises(ValueError):
-                triangular_gram(bad)
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("layout", ["c", "f", "strided"])
