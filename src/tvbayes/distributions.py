@@ -275,8 +275,9 @@ class MvLaplaceParams:
         n = mu.shape[0]
         if sigma.shape != (n, n):
             raise ValueError(f"sigma shape {sigma.shape} does not match mu ({n})")
-        if not np.allclose(sigma, sigma.T, atol=1e-12 * max(1.0, abs(sigma).max())):
-            raise NotSpdError("sigma is not symmetric")
+        if not (np.all(np.isfinite(sigma)) and np.allclose(
+                sigma, sigma.T, atol=1e-12 * max(1.0, abs(sigma).max()))):
+            raise NotSpdError("sigma must be finite and symmetric")
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
@@ -317,18 +318,13 @@ def gsm_sample(mu, sigma, mixing: GigParams, rng: np.random.Generator,
 
     r ~ GIG(mixing), z ~ N(0, I). With Exp(1) mixing the output is
     multivariate Laplace ML(mu, Sigma); with InvGamma(w/2, w/2) mixing it is
-    Student-t with w degrees of freedom.
+    Student-t with w degrees of freedom. Sigma is checked and factored by
+    :class:`MvLaplaceParams`: a non-SPD one raises :class:`NotSpdError`.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    n = mu.shape[0]
-    if sigma.shape != (n, n):
-        raise ValueError("sigma shape does not match mu")
-    chol = np.linalg.cholesky(sigma)
+    params = MvLaplaceParams(mu, sigma)
+    mu, chol, n = params.mu, params._chol, params.dim
     if size is None:
         r = gig_sample(mixing, rng)
-        z = rng.standard_normal(n)
-        return mu + math.sqrt(r) * (chol @ z)
+        return mu + math.sqrt(r) * (chol @ rng.standard_normal(n))
     r = gig_sample(mixing, rng, size=size)
-    z = rng.standard_normal((size, n))
-    return mu + np.sqrt(r)[:, None] * (z @ chol.T)
+    return mu + np.sqrt(r)[:, None] * (rng.standard_normal((size, n)) @ chol.T)

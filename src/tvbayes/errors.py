@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode a caller may want to catch has its own class; numerical
-routines never hand back NaN/inf silently.
+routines never hand back NaN/inf silently. Each kind of input has one check:
+``LatticeSpec.check_vector`` (data y, state x), ``_fourier_apply`` (operator
+vectors), ``MvLaplaceParams`` (scale matrices), ``read_table_csv`` (CSV).
 """
 
 

@@ -11,13 +11,15 @@
   with running moments of the kept draws.
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
 
-All engines share the same data-driven initialisation: x from the adjoint
-H'y of the data (which then also serves as the right-hand side of the
-x-systems), nu as the reciprocal mean squared residual there (not the mode
-of its conditional), latent scales at the mixing-prior mean and lambda at
-the mode of its conditional given those. All three engines apply one
-divergence guard, to the starting lambda and after every lambda update:
-outside ``LAMBDA_BOUNDS`` they raise :class:`DivergenceError`.
+All engines and the baseline reject data y with a non-finite entry
+(:class:`NonFiniteError`, ``where="y"``), and the engines share one
+data-driven initialisation: x from the adjoint H'y of the data (which then
+also serves as the right-hand side of the x-systems), nu as the reciprocal
+mean squared residual there (not the mode of its conditional), latent scales
+at the mixing-prior mean and lambda at the mode of its conditional given
+those. All three engines apply one divergence guard, to the starting lambda
+and after every lambda update: outside ``LAMBDA_BOUNDS`` they raise
+:class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
     prior mean (mode when the mean diverges), nu0 = N / ||y - H x0||^2 (not
     the mode of the nu conditional) and lambda0 the mode of the lambda
     conditional at (x0, r0)."""
-    y = np.asarray(y, dtype=float)
+    y = model.lattice.check_vector(y, "y")
     x0 = model.blur.rmatvec(y)
     mix = model.prior.mixing
     try:
@@ -107,8 +109,8 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
 
 def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None
            ) -> tuple[np.ndarray, LatentState, np.ndarray]:
-    """y as floats, ``init`` or :func:`initial_state` checked, and H'y."""
-    y = np.asarray(y, dtype=float)
+    """y and ``init`` (or :func:`initial_state`) checked, and H'y."""
+    y = model.lattice.check_vector(y, "y")
     state = init if init is not None else initial_state(y, model)
     state.validate(model)
     _check_lambda(state.lam, 0)
@@ -520,5 +522,5 @@ def tikhonov_baseline(y: np.ndarray, blur: BlurOperator, diff: DiffOperator,
     """Solve (H'H + delta D'D) x = H'y by one division on the Fourier grid."""
     if not 0 < delta < math.inf:
         raise ValueError(f"tikhonov delta must be finite and > 0, got {delta}")
-    y = np.asarray(y, dtype=float)
+    y = blur.lattice.check_vector(y, "y")
     return circulant_gram_precond(blur, diff, delta, 1.0)(blur.rmatvec(y))

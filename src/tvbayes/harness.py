@@ -2,8 +2,10 @@
 
 Everything here is deterministic given its arguments (noise takes an
 explicit generator). Interchange formats: 8-bit PGM (P2/P5) for images,
-CSV for signals and traces, JSON for run reports. Internal computation is
-floating point; quantisation happens only at the PGM boundary.
+CSV for traces and signals (a signal is a table's first column; the one
+parser, ``read_table_csv``, rejects ragged, non-numeric and non-finite
+rows), JSON for run reports. Internal computation is floating point;
+quantisation happens only at the PGM boundary.
 
 PGM rasters are row major (top row first) and map to the k x n arrays that
 ``LatticeSpec.to_grid``/``to_stacked`` convert to and from the column-wise
@@ -364,22 +366,8 @@ def write_signal_csv(path, values: np.ndarray, header: str = "value"):
 
 
 def read_signal_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)  # header
-        except StopIteration:
-            raise FileFormatError("empty CSV file", offset=0) from None
-        try:
-            values = np.array([float(row[0]) for row in reader if row])
-        except (ValueError, IndexError) as exc:
-            raise FileFormatError(f"malformed CSV row: {exc}") from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FileFormatError(f"non-finite CSV value {float(values[bad])} "
-                              f"at data row {bad + 1}")
-    return values
+    """The first column of the numeric table :func:`read_table_csv` reads."""
+    return read_table_csv(path)[1][:, 0]
 
 
 def write_table_csv(path, header: list[str], rows):
@@ -391,14 +379,24 @@ def write_table_csv(path, header: list[str], rows):
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and float body (data rows x header columns) of a CSV table; a
+    ragged, non-numeric or non-finite data row raises FileFormatError."""
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise FileFormatError("empty CSV file", offset=0) from None
+        rows = [row for row in reader if row]
+    body = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise FileFormatError(f"ragged CSV: data row {i} has {len(row)} "
+                                  f"values, the header {len(header)}")
         try:
-            body = np.array([[float(v) for v in row] for row in reader if row])
+            body[i - 1] = [float(v) for v in row]
         except ValueError as exc:
-            raise FileFormatError(f"malformed CSV row: {exc}") from None
+            raise FileFormatError(f"malformed CSV data row {i}: {exc}") from None
+        if not np.all(np.isfinite(body[i - 1])):
+            raise FileFormatError(f"non-finite CSV value at data row {i}")
     return header, body

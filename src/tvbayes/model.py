@@ -145,6 +145,8 @@ class ModelSpec:
     prior: Prior
 
     def __post_init__(self):
+        if not self.blur.lattice == self.diff.lattice == self.lattice:
+            raise ValueError("blur and diff must share the model's lattice")
         if not validate_rank_condition(self.blur, self.diff):
             raise RankConditionError(
                 "blur and difference operators share a nullspace direction "
@@ -212,12 +214,9 @@ class LatentState:
     r: np.ndarray
 
     def validate(self, model: ModelSpec):
-        if self.x.shape != (model.n_pixels,):
-            raise ValueError(f"x must have length {model.n_pixels}")
+        model.lattice.check_vector(self.x, "x")
         if self.r.shape != (model.n_latents,):
             raise ValueError(f"r must have length {model.n_latents}")
-        if not np.all(np.isfinite(self.x)):
-            raise NonFiniteError("state x contains non-finite entries", where="x")
         for name, v in (("nu", self.nu), ("lambda", self.lam)):
             if not (math.isfinite(v) and v > 0):
                 raise NonFiniteError(f"state {name} must be positive finite, "
@@ -343,9 +342,7 @@ def x_statistics(x: np.ndarray, y: np.ndarray,
 def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
     """:func:`log_joint` at the state, from its residual and penalty."""
     state.validate(model)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.n_pixels,):
-        raise ValueError(f"y must have length {model.n_pixels}")
+    y = model.lattice.check_vector(y, "y")
     with np.errstate(over="ignore", invalid="ignore"):
         sq_resid, dx2 = x_statistics(state.x, y, model)
         penalty = float(np.sum(dx2 * row_weights_from_r(state.r, model)))
@@ -363,7 +360,7 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
     returned precision, so one N x N array is live at a time.
     """
     state.validate(model)
-    y = np.asarray(y, dtype=float)
+    y = model.lattice.check_vector(y, "y")
     if which == "x":
         build = dense_gram(model.blur, model.diff)
         ratio = state.lam / state.nu

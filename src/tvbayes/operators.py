@@ -14,7 +14,8 @@ quadratic of VB and the +1/-1 column indices of the dense paths each loop
 over it.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
-is the real |H^|^2, and H'H v costs one FFT round trip.
+is the real |H^|^2, and H'H v costs one FFT round trip. H, H', H'H and the
+preconditioner apply through ``_fourier_apply``, their one length check.
 
 The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
 ``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
@@ -103,6 +104,15 @@ class LatticeSpec:
         if img.shape != (self.k, self.n):
             raise ValueError(f"expected {self.k} x {self.n} image, got {img.shape}")
         return img.ravel(order="F")
+
+    def check_vector(self, v: np.ndarray, name: str) -> np.ndarray:
+        """``v`` as floats, checked: length N and finite (errors name it)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.size,):
+            raise ValueError(f"{name} must have length {self.size}")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError(f"{name} has non-finite entries", where=name)
+        return v
 
 
 class DiffOperator:
@@ -230,13 +240,15 @@ class DiffOperator:
 
 
 def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
-                   out: np.ndarray | None,
-                   spec: np.ndarray | None) -> np.ndarray:
-    """rfft2(x) * mult transformed back, as a stacked vector.
+                   out: np.ndarray | None = None,
+                   spec: np.ndarray | None = None) -> np.ndarray:
+    """rfft2(x) * mult transformed back, for a stacked vector x of length N.
 
     The spectrum is formed and multiplied by ``mult`` in ``spec`` and the
     result written into ``out``; either is allocated when None.
     """
+    if np.shape(x) != (lattice.size,):
+        raise ValueError(f"expected stacked vector of length {lattice.size}")
     grid = lattice.to_grid(x)
     spec = np.fft.rfft2(grid, out=spec)
     np.multiply(spec, mult, out=spec)
@@ -306,26 +318,18 @@ class BlurOperator:
     def size(self) -> int:
         return self.lattice.size
 
-    def _apply(self, x: np.ndarray, mult: np.ndarray,
-               out: np.ndarray | None = None,
-               spec: np.ndarray | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.size,):
-            raise ValueError(f"expected stacked vector of length {self.size}")
-        return _fourier_apply(self.lattice, x, mult, out, spec)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, self._fwd)
+        return _fourier_apply(self.lattice, x, self._fwd)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, self._adj)
+        return _fourier_apply(self.lattice, x, self._adj)
 
     def gram_matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                     spec: np.ndarray | None = None) -> np.ndarray:
         """H'H x in one FFT round trip, into ``out`` (length N) through the
         spectrum buffer ``spec`` (``lattice.rfft_shape``, complex) when
         given."""
-        return self._apply(x, self._gram, out, spec)
+        return _fourier_apply(self.lattice, x, self._gram, out, spec)
 
     def to_dense(self) -> np.ndarray:
         """Dense H (N x N), capacity gated: a test oracle only; ``dense_gram``

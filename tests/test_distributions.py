@@ -26,7 +26,7 @@ from tvbayes.distributions import (
     log_bessel_k,
     mvlaplace_log_pdf,
 )
-from tvbayes.errors import GigParameterError, MomentDivergesError
+from tvbayes.errors import GigParameterError, MomentDivergesError, NotSpdError
 
 
 # Parameter triples spanning all three admissibility branches.
@@ -436,7 +436,6 @@ class TestMvLaplace:
             assert mvlaplace_log_pdf(ml, z) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_non_spd(self):
-        from tvbayes.errors import NotSpdError
         with pytest.raises(NotSpdError):
             MvLaplaceParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
@@ -496,6 +495,30 @@ class TestGsmSample:
         # matches the scipy t(2) distribution
         res = stats.kstest(draws, lambda t: stats.t.cdf(t, df=2))
         assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("sigma", [
+        [[1.0, 0.5], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+    ], ids=["asymmetric", "nan", "inf", "indefinite"])
+    def test_rejects_sigma_that_is_not_spd(self, sigma):
+        # the draws would read only the lower triangle, or come out NaN
+        for size in (None, 3):
+            with pytest.raises(NotSpdError):
+                gsm_sample(np.zeros(2), np.array(sigma), GigParams(2, 0, 1),
+                           np.random.default_rng(0), size=size)
+
+    def test_draws_use_the_params_factor(self):
+        # one r, then z, per draw: mu + sqrt(r) L z with MvLaplaceParams' L
+        mu, sigma = np.array([1.0, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
+        chol = MvLaplaceParams(mu, sigma)._chol
+        mixing = GigParams(2, 0, 1)
+        got = gsm_sample(mu, sigma, mixing, np.random.default_rng(4), size=5)
+        rng = np.random.default_rng(4)
+        r = gig_sample(mixing, rng, size=5)
+        want = mu + np.sqrt(r)[:, None] * (rng.standard_normal((5, 2)) @ chol.T)
+        np.testing.assert_array_equal(got, want)
 
     def test_2d_laplace_per_coordinate(self):
         rng = np.random.default_rng(29)

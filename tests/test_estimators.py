@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tvbayes.distributions import GigParams, gig_log_pdf, gig_moment, gig_variance
-from tvbayes.errors import CapacityError, DivergenceError
+from tvbayes.errors import CapacityError, DivergenceError, NonFiniteError
 from tvbayes.estimators import (
     GibbsOptions,
     IasOptions,
@@ -103,6 +103,47 @@ class TestInitialState:
         model, _, y = signal_problem()
         run(y, model)
         assert len(calls) == 1
+
+
+ENGINES = {
+    "ias": lambda y, model, init: ias_run(y, model, IasOptions(init=init)),
+    "vb": lambda y, model, init: vb_run(y, model, VbOptions(init=init)),
+    "gibbs": lambda y, model, init: gibbs_run(
+        y, model, GibbsOptions(seed=1, samples=5, init=init)),
+}
+
+
+class TestDataChecks:
+    """Data y is checked on the lattice before any use: a NaN or infinite
+    entry raises NonFiniteError naming y, a wrong length ValueError."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("with_init", [False, True],
+                             ids=["default_start", "init"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_engines(self, engine, with_init, bad):
+        model, _, y = signal_problem(n=16)
+        init = initial_state(y, model) if with_init else None
+        y[3] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            ENGINES[engine](y, model, init)
+        assert exc.value.where == "y"
+        with pytest.raises(ValueError, match="y must have length 16"):
+            ENGINES[engine](y[:-1], model, init)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda y, model: tikhonov_baseline(y, model.blur, model.diff, 0.1),
+        lambda y, model: initial_state(y, model),
+    ], ids=["tikhonov", "initial_state"])
+    def test_baseline_and_start(self, call, bad):
+        model, _, y = signal_problem(n=16)
+        y[3] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            call(y, model)
+        assert exc.value.where == "y"
+        with pytest.raises(ValueError, match="y must have length 16"):
+            call(y[:-1], model)
 
 
 class TestIasUpdates:

@@ -260,6 +260,13 @@ class TestCsv:
         path.write_text("value\nnot_a_number\n")
         with pytest.raises(FileFormatError):
             read_signal_csv(path)
+        # ragged rows: a signal is a table's first column, and a table's
+        # rows each have one value per header name
+        for text in ("value\n1.0\n2.0,3.0\n", "a,b\n1.0,2.0\n3.0\n"):
+            path.write_text(text)
+            for reader in (read_signal_csv, read_table_csv):
+                with pytest.raises(FileFormatError, match="data row 2"):
+                    reader(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_csv_value(self, tmp_path, value):
@@ -267,6 +274,11 @@ class TestCsv:
         path.write_text(f"value\n1.0\n{value}\n2.0\n")
         with pytest.raises(FileFormatError, match="row 2"):
             read_signal_csv(path)
+        # the table reader holds the check, in any column
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{value}\n")
+        for reader in (read_signal_csv, read_table_csv):
+            with pytest.raises(FileFormatError, match="data row 2"):
+                reader(path)
 
 
 class TestRunReport:

@@ -134,6 +134,18 @@ class TestRankCondition:
             ModelSpec(lattice, h, DiffOperator(lattice), HyperParams(),
                       LaplaceTV())
 
+    @pytest.mark.parametrize("blur_on, diff_on", [
+        ((4, 9), (2, 18)), ((4, 9), (6, 6)), ((6, 6), (2, 18))])
+    def test_rejects_operators_on_another_lattice(self, blur_on, diff_on):
+        # all three lattices have 36 pixels, so nothing else would notice
+        from tvbayes.operators import BlurOperator, DiffOperator
+        with pytest.raises(ValueError, match="model's lattice"):
+            ModelSpec(LatticeSpec(6, 6),
+                      BlurOperator(gaussian_kernel(3, 0.75),
+                                   LatticeSpec(*blur_on)),
+                      DiffOperator(LatticeSpec(*diff_on)), HyperParams(),
+                      LaplaceTV())
+
 
 class TestLogPosterior:
     def test_completing_the_square(self):
@@ -208,6 +220,30 @@ class TestLogPosterior:
             got = log_joint(state.nu, state.lam, state.r,
                             float(resid @ resid), penalty, model)
             assert got == log_posterior(state, y, model)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["log_posterior", "x", "nu", "lambda",
+                                       ("r", 0)],
+                             ids=["log_posterior", "x", "nu", "lambda", "r0"])
+    def test_non_finite_data_is_named(self, which, bad):
+        # data y is checked before any statistic is formed from it
+        model = make_model()
+        rng = np.random.default_rng(13)
+        state = random_state(model, rng)
+        y = rng.normal(size=model.n_pixels)
+
+        def call(y):
+            if which == "log_posterior":
+                return log_posterior(state, y, model)
+            return conditional_params(state, y, model, which)
+
+        call(y)
+        y[4] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            call(y)
+        assert exc.value.where == "y"
+        with pytest.raises(ValueError, match="y must have length"):
+            call(y[:-1])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("which, where", [(0, "likelihood"),

@@ -445,6 +445,18 @@ class TestWeightedGram:
             assert precond(v) is out
             np.testing.assert_array_equal(out, fresh_precond(v))
 
+    @pytest.mark.parametrize("apply", ["matvec", "rmatvec", "gram_matvec",
+                                       "precond"])
+    def test_fourier_applies_reject_wrong_length(self, apply):
+        # the blur, its adjoint, H'H and the preconditioner share one check
+        h, d, lat = self._ops()
+        fn = (circulant_gram_precond(h, d, 0.37, 1.3) if apply == "precond"
+              else getattr(h, apply))
+        for bad in (np.ones(lat.size - 1), np.ones(lat.size + 1),
+                    np.ones((lat.k, lat.n))):
+            with pytest.raises(ValueError, match="stacked vector of length"):
+                fn(bad)
+
     def test_rejects_bad_weights(self):
         h, d, lat = self._ops()
         with pytest.raises(NonFiniteError):
