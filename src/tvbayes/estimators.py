@@ -189,22 +189,28 @@ def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
                 weights: np.ndarray, rhs: np.ndarray, tol: float,
                 x0: np.ndarray) -> np.ndarray:
     """Solve (H'H + ratio D' W D) x = rhs by CG with the circulant
-    preconditioner at the mean weight.
+    preconditioner at the mean weight w_mean.
+
+    Each CG iteration makes one FFT round trip, the preconditioner's apply
+    of M^{-1} for M = H'H + ratio w_mean D'D. The gram apply takes the M p
+    that CG carries and adds ratio D'(W - w_mean I) D p to it, with no
+    transform; only the start residual applies H'H by FFT.
 
     The solve owns one set of work arrays, made here and freed on return:
     the spectrum and the N-vector result are shared by the gram apply and
     the preconditioner (PCG uses each result before the next call), plus
-    the difference rows and the penalty accumulator of the gram apply.
+    the difference rows of the gram apply. The start residual's apply
+    allocates its own H'H v, which the carried applies do without.
     """
     spec = np.empty(blur.lattice.rfft_shape, dtype=complex)
-    rows = np.empty(diff.n_rows)
-    acc, out = np.empty(blur.size), np.empty(blur.size)
+    rows, out = np.empty(diff.n_rows), np.empty(blur.size)
+    w_mean = float(np.mean(weights))
     sol = pcg_solve(
-        lambda v: weighted_gram_matvec(blur, diff, ratio, weights, v, out,
-                                       spec=spec, rows=rows, acc=acc),
+        lambda v, mv: weighted_gram_matvec(blur, diff, ratio, weights, v, out,
+                                           spec=spec, rows=rows, mv=mv,
+                                           mean_weight=w_mean),
         rhs,
-        precond=circulant_gram_precond(blur, diff, ratio,
-                                       float(np.mean(weights)),
+        precond=circulant_gram_precond(blur, diff, ratio, w_mean,
                                        spec=spec, out=out),
         tol=tol, x0=x0)
     return sol.x

@@ -15,7 +15,13 @@ over it.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip. H, H', H'H and the
-preconditioner apply through ``_fourier_apply``, their one length check.
+preconditioner apply through ``_fourier_apply``; it and D, D' check their
+vector lengths in ``_check_length``. Inside an IAS CG solve each iteration
+makes one FFT round trip, the preconditioner's: its matrix M = H'H +
+(lambda/nu) w_mean D'D already holds H'H, so ``weighted_gram_matvec`` reads
+H'H v from the M v that CG carries (``solvers.pcg_solve``) and applies only
+the stencils. Every function that takes a blur and a difference operator
+first checks that they share a lattice (``_check_same_lattice``).
 
 The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
 ``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
@@ -57,6 +63,12 @@ __all__ = [
 
 # Largest stacked length for which dense-matrix code paths are allowed.
 DENSE_CAPACITY = 4096
+
+
+def _check_length(v: np.ndarray, n: int, what: str):
+    if np.shape(v) != (n,):
+        raise ValueError(f"expected {what} of length {n}, got shape "
+                         f"{np.shape(v)}")
 
 
 def _check_dense(n: int, what: str):
@@ -163,8 +175,10 @@ class DiffOperator:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """D x, written into ``out`` (length ``n_rows``) when given."""
         x = np.asarray(x, dtype=float)
+        _check_length(x, self.lattice.size, "stacked vector")
         if out is None:
             out = np.empty(self.n_rows)
+        _check_length(out, self.n_rows, "difference-row out")
         g, rows = x.reshape(self._grid), out.reshape(self._rows)
         for ahead, here, row in self._steps:
             np.subtract(g[ahead], g[here], out=rows[row])
@@ -173,9 +187,12 @@ class DiffOperator:
     def rmatvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """D' w, written into ``out`` (length N) when given."""
         N = self.lattice.size
-        w = np.asarray(w, dtype=float).reshape(self.n_blocks, N)
+        w = np.asarray(w, dtype=float)
+        _check_length(w, self.n_rows, "difference-row vector")
+        w = w.reshape(self.n_blocks, N)
         if out is None:
             out = np.empty(N)
+        _check_length(out, N, "stacked out")
         # a pixel is the +1 entry of the row one step back in each block and
         # the -1 entry of its own row
         out.fill(0.0)
@@ -247,8 +264,7 @@ def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
     The spectrum is formed and multiplied by ``mult`` in ``spec`` and the
     result written into ``out``; either is allocated when None.
     """
-    if np.shape(x) != (lattice.size,):
-        raise ValueError(f"expected stacked vector of length {lattice.size}")
+    _check_length(x, lattice.size, "stacked vector")
     grid = lattice.to_grid(x)
     spec = np.fft.rfft2(grid, out=spec)
     np.multiply(spec, mult, out=spec)
@@ -348,22 +364,37 @@ class BlurOperator:
         return out
 
 
+def _check_same_lattice(blur: BlurOperator, diff: DiffOperator):
+    if blur.lattice != diff.lattice:
+        b, d = blur.lattice, diff.lattice
+        raise ValueError(f"blur lattice {b.k} x {b.n} differs from the "
+                         f"difference operator's lattice {d.k} x {d.n}")
+
+
 def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
                          lam_over_nu: float, row_weights: np.ndarray,
                          v: np.ndarray, out: np.ndarray | None = None, *,
                          spec: np.ndarray | None = None,
                          rows: np.ndarray | None = None,
-                         acc: np.ndarray | None = None) -> np.ndarray:
+                         acc: np.ndarray | None = None,
+                         mv: np.ndarray | None = None,
+                         mean_weight: float | None = None) -> np.ndarray:
     """(H'H + (lambda/nu) D' W D) v without forming the matrix.
 
-    H'H is applied as its circulant multiplier |H^|^2 (one FFT round trip),
-    D and D' as grid stencils. ``row_weights`` is the diagonal of
-    W = R^{-2}, one entry per difference row; zero entries are allowed (a
-    safeguarded prior keeps them finite). The result goes into ``out``
-    (length N, not ``v`` itself); ``spec`` (the rfft2 spectrum), ``rows`` (one entry per
-    difference row) and ``acc`` (length N, the penalty term) are work
-    arrays. Each is allocated when not given.
+    The result is mv + (lambda/nu) D'((W - w_mean I) D v) for
+    mv = (H'H + (lambda/nu) w_mean D'D) v, with D and D' applied as grid
+    stencils. Without ``mv``, w_mean is 0 and mv = H'H v is formed in
+    ``acc`` by its circulant multiplier |H^|^2 (one FFT round trip, with
+    ``spec`` as the rfft2 spectrum). A caller that passes ``mv`` (the M v
+    that CG carries, with no FFT here) must pass as ``mean_weight`` the
+    w_mean that its ``circulant_gram_precond`` M was built with.
+    ``row_weights`` is the diagonal of W = R^{-2}, one entry per difference
+    row; zero entries are allowed (a safeguarded prior keeps them finite).
+    The result goes into ``out`` (length N, neither ``v`` nor ``mv``), which
+    also serves as work space; ``rows`` holds the difference rows. Each
+    array is allocated when not given.
     """
+    _check_same_lattice(blur, diff)
     row_weights = np.asarray(row_weights, dtype=float)
     # NaN fails both comparisons, since min and max propagate it
     if not (row_weights.min() >= 0 and row_weights.max() < np.inf):
@@ -372,12 +403,21 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
     if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
         raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
                              where="lam_over_nu")
-    out = blur.gram_matvec(v, out=out, spec=spec)
+    if mv is None:
+        mv, mean_weight = blur.gram_matvec(v, out=acc, spec=spec), 0.0
+    elif mean_weight is None:
+        raise ValueError("a carried mv needs the preconditioner's mean_weight")
     rows = diff.matvec(v, out=rows)
-    np.multiply(row_weights, rows, out=rows)
-    penalty = diff.rmatvec(rows, out=acc)
-    penalty *= lam_over_nu
-    out += penalty
+    if out is None:
+        out = np.empty(blur.size)
+    # the rows times W - w_mean, a block at a time through out, which then
+    # takes the penalty and mv
+    for block, w in zip(rows.reshape(diff.n_blocks, -1),
+                        row_weights.reshape(diff.n_blocks, -1)):
+        block *= np.subtract(w, mean_weight, out=out)
+    out = diff.rmatvec(rows, out=out)
+    out *= lam_over_nu
+    out += mv
     return out
 
 
@@ -393,6 +433,7 @@ def dense_gram(blur: BlurOperator, diff: DiffOperator):
     [j_s, i_s, j_t, i_t]; each build adds the view into the weighted
     difference gram, so no N x N H'H is ever formed.
     """
+    _check_same_lattice(blur, diff)
     _check_dense(blur.size, "the Gaussian x-conditional")
     k, n = blur.lattice.k, blur.lattice.n
     w = blur.kernel
@@ -443,6 +484,7 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     are given (so each result is overwritten by the next apply), and
     allocates fresh arrays when they are not.
     """
+    _check_same_lattice(blur, diff)
     # the reciprocal spectrum, formed in place: numpy divides by (c + 0i) as
     # a multiply by 1/c, so each apply's multiply by it equals the division
     # by the spectrum bit for bit

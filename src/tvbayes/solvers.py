@@ -26,15 +26,21 @@ class PcgResult:
     residual: float  # relative to ||rhs||
 
 
-def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
+def pcg_solve(matvec: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+              rhs: np.ndarray,
               precond: Callable[[np.ndarray], np.ndarray] | None = None,
               tol: float = 1e-8, maxit: int | None = None,
               x0: np.ndarray | None = None) -> PcgResult:
-    """Solve the SPD system matvec(x) = rhs by preconditioned CG.
+    """Solve the SPD system A x = rhs by preconditioned CG.
 
-    ``tol`` is relative: stop once ||matvec(x) - rhs|| <= tol * ||rhs||;
-    a start ``x0`` that already meets it comes back after 0 iterations.
-    ``precond`` applies an approximation of the inverse (identity if None).
+    ``tol`` is relative: stop once ||A x - rhs|| <= tol * ||rhs||; a start
+    ``x0`` that already meets it comes back after 0 iterations.
+    ``precond`` applies M^{-1}, an approximation of A^{-1} (M = I if None).
+    ``matvec(v, mv)`` returns A v. Its ``mv`` is M v, which CG carries beside
+    each search direction p at the cost of one vector update (M z = r for
+    z = M^{-1} r, so M p follows p's own recurrence with r in place of z),
+    or None for the start iterate x0; an A whose part M is costly to apply
+    can read it from ``mv`` instead, and any other ``matvec`` ignores it.
     ``matvec`` and ``precond`` may return a buffer that they overwrite on
     their next call (the two may even share one): each result is used up
     before either is called again, and none is returned or stored. The
@@ -55,17 +61,18 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
         precond = lambda r: r  # noqa: E731
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - matvec(x)
+    r = rhs - matvec(x, None)
     res = float(np.linalg.norm(r)) / rhs_norm
     if res <= tol:
         return PcgResult(x, 0, res)
     z = precond(r)
     p = z.copy()
+    mp = r.copy()  # M p
     rz = float(r @ z)
     best_x, best_res = x.copy(), res
     step = np.empty(n)
     for it in range(1, maxit + 1):
-        qp = matvec(p)
+        qp = matvec(p, mp)
         pqp = float(p @ qp)
         if not np.isfinite(pqp) or pqp <= 0.0:
             raise PcgError(f"CG breakdown at iteration {it}: p'Qp = {pqp}",
@@ -84,8 +91,11 @@ def pcg_solve(matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             return PcgResult(x, it, res)
         z = precond(r)
         rz_new = float(r @ z)
-        p *= rz_new / rz
+        beta = rz_new / rz
+        p *= beta
         p += z
+        mp *= beta
+        mp += r
         rz = rz_new
     raise PcgError(
         f"CG did not reach tol={tol} in {maxit} iterations "

@@ -400,7 +400,7 @@ def test_criterion_12_solver_correctness():
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         a = (q * np.geomspace(1.0, 1e4, n)) @ q.T
         rhs = rng.normal(size=n)
-        sol = pcg_solve(lambda v: a @ v, rhs, tol=1e-12, maxit=20 * n)
+        sol = pcg_solve(lambda v, mv: a @ v, rhs, tol=1e-12, maxit=20 * n)
         want = np.linalg.solve(a, rhs)
         worst = max(worst, float(np.linalg.norm(sol.x - want)
                                  / np.linalg.norm(want)))

@@ -6,8 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tvbayes.estimators as est
 from tvbayes.distributions import GigParams, gig_log_pdf, gig_moment, gig_variance
-from tvbayes.errors import CapacityError, DivergenceError, NonFiniteError
+from tvbayes.errors import (
+    CapacityError,
+    DivergenceError,
+    NonFiniteError,
+    PcgError,
+)
 from tvbayes.estimators import (
     GibbsOptions,
     IasOptions,
@@ -28,7 +34,15 @@ from tvbayes.model import (
     StudentTV,
     conditional_params,
 )
-from tvbayes.operators import LatticeSpec, gaussian_kernel
+from tvbayes.operators import (
+    BlurOperator,
+    DiffOperator,
+    LatticeSpec,
+    circulant_gram_precond,
+    gaussian_kernel,
+    weighted_gram_matvec,
+)
+from tvbayes.solvers import pcg_solve
 
 
 def signal_problem(n=48, bsnr=30.0, seed=0, prior=None, kernel=(7, 1.75)):
@@ -805,6 +819,96 @@ class TestGibbs:
         model, truth, y = signal_problem(n=16)
         with pytest.raises(ValueError):
             gibbs_run(y, model, opts)
+
+
+def box_system(k, n, seed=0):
+    """A 3 x 3 box blur, whose spectrum has zeros on a side divisible by 3,
+    with difference-row weights log-uniform over [1e-3, 1e3], and H'y."""
+    lattice = LatticeSpec(k, n)
+    blur = BlurOperator(np.full((3, 3), 1.0 / 9.0), lattice)
+    diff = DiffOperator(lattice)
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, size=diff.n_rows)
+    return blur, diff, weights, blur.rmatvec(rng.normal(size=lattice.size))
+
+
+BOX_LATTICES = [(24, 24), (12, 20), (1, 64)]
+
+
+class TestGramSolve:
+    """The IAS x-step reads H'H p from the M p that CG carries; these check
+    it against the FFT apply of H'H."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("k,n", BOX_LATTICES)
+    def test_every_carried_apply_matches_fft(self, k, n, ratio, monkeypatch):
+        blur, diff, weights, hty = box_system(k, n)
+        carried = []
+
+        def checked(*args, mv=None, **kwargs):
+            v = args[4]
+            want = weighted_gram_matvec(*args[:5])
+            if mv is not None:
+                # the carried M p has not drifted from M p (about 1e-14 at
+                # most over a thousand iterations)
+                m_v = blur.gram_matvec(v) + (ratio * kwargs["mean_weight"]
+                                             * diff.rmatvec(diff.matvec(v)))
+                assert (np.linalg.norm(mv - m_v)
+                        <= 1e-12 * np.linalg.norm(m_v))
+            got = weighted_gram_matvec(*args, mv=mv, **kwargs)
+            carried.append(mv is not None)
+            if mv is not None:
+                assert (np.linalg.norm(got - want)
+                        <= 1e-10 * np.linalg.norm(want))
+            return got
+
+        monkeypatch.setattr(est, "weighted_gram_matvec", checked)
+        # on 24 x 24 at ratio >= 1 CG stops at its iteration cap; every
+        # apply up to it is still checked
+        try:
+            est._gram_solve(blur, diff, ratio, weights, hty, 1e-10, hty)
+        except PcgError:
+            pass
+        assert carried[0] is False and all(carried[1:])
+        assert len(carried) > 40
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("k,n", BOX_LATTICES)
+    def test_solve_matches_fft_reference(self, k, n, ratio, monkeypatch):
+        # both solves run to convergence: at ratio >= 1 these weights need
+        # more CG iterations than unknowns, up to 1600
+        blur, diff, weights, hty = box_system(k, n)
+        tol, maxit = 1e-10, 5000
+        ref = pcg_solve(
+            lambda v, mv: weighted_gram_matvec(blur, diff, ratio, weights, v),
+            hty, precond=circulant_gram_precond(blur, diff, ratio,
+                                                float(np.mean(weights))),
+            tol=tol, maxit=maxit, x0=hty)
+        solves, rfft2, ffts = [], np.fft.rfft2, []
+
+        def recorded(*args, **kwargs):
+            solves.append(pcg_solve(*args, maxit=maxit, **kwargs))
+            return solves[-1]
+
+        def counted(*args, **kwargs):
+            ffts.append(1)
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(est, "pcg_solve", recorded)
+        monkeypatch.setattr(np.fft, "rfft2", counted)
+        x = est._gram_solve(blur, diff, ratio, weights, hty, tol, hty)
+        (sol,) = solves
+        assert np.linalg.norm(x - ref.x) <= 1e-9 * np.linalg.norm(ref.x)
+        if ref.iterations < k * n:
+            assert abs(sol.iterations - ref.iterations) <= 1
+        else:
+            # past N iterations the count follows round-off: the exact dense
+            # Q v in place of the FFT apply takes 1 x 64 at ratio 1e3 from
+            # 473 to 566 iterations; the carried apply takes it to 537
+            assert sol.iterations <= 1.25 * ref.iterations
+        # one transform per iteration, the preconditioner's, and one for
+        # the start residual
+        assert len(ffts) == sol.iterations + 1
 
 
 class TestTikhonov:

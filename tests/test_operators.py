@@ -18,6 +18,7 @@ from tvbayes.operators import (
     validate_rank_condition,
     weighted_gram_matvec,
 )
+from tvbayes.estimators import tikhonov_baseline
 
 
 # 1-D row and column signals, a non-square grid and a square one
@@ -169,6 +170,22 @@ class TestDiffOperator:
             np.testing.assert_array_equal(rows, want_dx)
             assert d.rmatvec(w, out=col) is col
             np.testing.assert_array_equal(col, want_dtw)
+
+    def test_rejects_wrong_lengths(self):
+        # a 9 x 4 lattice: N = 36 pixels, 72 difference rows
+        d = DiffOperator(LatticeSpec(9, 4))
+        with pytest.raises(ValueError, match="length 36"):
+            d.matvec(np.ones(35))
+        with pytest.raises(ValueError, match="length 72"):
+            d.rmatvec(np.ones(71))
+        with pytest.raises(ValueError, match="length 72"):
+            d.matvec(np.ones(36), out=np.empty(36))
+        with pytest.raises(ValueError, match="length 36"):
+            d.rmatvec(np.ones(72), out=np.empty(72))
+        with pytest.raises(ValueError, match="length 36"):
+            d.matvec(np.ones((9, 4)))
+        with pytest.raises(ValueError, match="length 72"):
+            d.rmatvec(np.ones((2, 36)))
 
     @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE)
     def test_row_indices_equal_index_notation(self, k, n):
@@ -456,6 +473,43 @@ class TestWeightedGram:
                     np.ones((lat.k, lat.n))):
             with pytest.raises(ValueError, match="stacked vector of length"):
                 fn(bad)
+
+    @pytest.mark.parametrize("fn", ["dense_gram", "weighted_gram_matvec",
+                                    "circulant_gram_precond",
+                                    "tikhonov_baseline"])
+    def test_rejects_mismatched_lattices(self, fn):
+        # equal N = 36, so nothing but the lattice check tells them apart
+        h = BlurOperator(gaussian_kernel(3, 0.75), LatticeSpec(6, 6))
+        d = DiffOperator(LatticeSpec(4, 9))
+        calls = {
+            "dense_gram": lambda: dense_gram(h, d),
+            "weighted_gram_matvec":
+                lambda: weighted_gram_matvec(h, d, 1.0, np.ones(72),
+                                             np.ones(36)),
+            "circulant_gram_precond":
+                lambda: circulant_gram_precond(h, d, 1.0, 1.0),
+            "tikhonov_baseline":
+                lambda: tikhonov_baseline(np.ones(36), h, d, 0.1),
+        }
+        with pytest.raises(ValueError, match="6 x 6.*4 x 9"):
+            calls[fn]()
+
+    def test_carried_product_replaces_the_fft(self, monkeypatch):
+        # given M v for the preconditioner's M = H'H + ratio w_mean D'D, the
+        # apply adds ratio D'(W - w_mean) D v to it and transforms nothing
+        h, d, lat = self._ops()
+        rng = np.random.default_rng(21)
+        w = rng.uniform(0.1, 3.0, size=32)
+        v = rng.normal(size=16)
+        mv = h.gram_matvec(v) + 0.37 * 1.3 * d.rmatvec(d.matvec(v))
+        want = weighted_gram_matvec(h, d, 0.37, w, v)
+        monkeypatch.setattr(np.fft, "rfft2", None)
+        got = weighted_gram_matvec(h, d, 0.37, w, v, rows=nan_buffer(32),
+                                   mv=mv, mean_weight=1.3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # a carried product is only meaningful with the preconditioner's w_mean
+        with pytest.raises(ValueError, match="mean_weight"):
+            weighted_gram_matvec(h, d, 0.37, w, v, mv=mv)
 
     def test_rejects_bad_weights(self):
         h, d, lat = self._ops()

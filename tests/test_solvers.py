@@ -58,7 +58,7 @@ class TrilFactor:
 class TestPcg:
     def test_identity_one_iteration(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        res = pcg_solve(lambda v: v, rhs)
+        res = pcg_solve(lambda v, mv: v, rhs)
         assert res.iterations <= 1
         np.testing.assert_allclose(res.x, rhs, atol=1e-14)
 
@@ -66,7 +66,7 @@ class TestPcg:
         rng = np.random.default_rng(0)
         a = random_spd(50, rng, cond=100.0)
         rhs = rng.normal(size=50)
-        res = pcg_solve(lambda v: a @ v, rhs, tol=1e-10, maxit=500)
+        res = pcg_solve(lambda v, mv: a @ v, rhs, tol=1e-10, maxit=500)
         np.testing.assert_allclose(res.x, np.linalg.solve(a, rhs), atol=1e-8)
 
     def test_residual_contract(self):
@@ -74,19 +74,19 @@ class TestPcg:
         a = random_spd(30, rng)
         rhs = rng.normal(size=30)
         tol = 1e-6
-        res = pcg_solve(lambda v: a @ v, rhs, tol=tol)
+        res = pcg_solve(lambda v, mv: a @ v, rhs, tol=tol)
         assert np.linalg.norm(a @ res.x - rhs) <= tol * np.linalg.norm(rhs)
         assert res.residual <= tol
 
     def test_jacobi_preconditioned_diagonal(self):
         d = np.array([1.0, 10.0, 100.0, 1e4])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        res = pcg_solve(lambda v: d * v, rhs, precond=lambda r: r / d)
+        res = pcg_solve(lambda v, mv: d * v, rhs, precond=lambda r: r / d)
         assert res.iterations <= 2
         np.testing.assert_allclose(res.x, rhs / d, rtol=1e-10)
 
     def test_zero_rhs(self):
-        res = pcg_solve(lambda v: 2 * v, np.zeros(4))
+        res = pcg_solve(lambda v, mv: 2 * v, np.zeros(4))
         assert res.iterations == 0
         np.testing.assert_array_equal(res.x, 0.0)
 
@@ -95,7 +95,7 @@ class TestPcg:
         a = random_spd(40, rng, cond=1e8)
         rhs = rng.normal(size=40)
         with pytest.raises(PcgError) as exc:
-            pcg_solve(lambda v: a @ v, rhs, tol=1e-14, maxit=3)
+            pcg_solve(lambda v, mv: a @ v, rhs, tol=1e-14, maxit=3)
         assert exc.value.best is not None
         assert exc.value.best.shape == (40,)
         assert np.isfinite(exc.value.residual)
@@ -105,7 +105,7 @@ class TestPcg:
         a = random_spd(20, rng)
         rhs = rng.normal(size=20)
         xstar = np.linalg.solve(a, rhs)
-        res = pcg_solve(lambda v: a @ v, rhs, tol=1e-10, x0=xstar)
+        res = pcg_solve(lambda v, mv: a @ v, rhs, tol=1e-10, x0=xstar)
         assert res.iterations <= 1
 
     def test_exact_start_returns_without_iterating(self):
@@ -113,11 +113,31 @@ class TestPcg:
         # would be 0 and p'Qp = 0: the start is the answer, not a breakdown
         d = np.array([2.0, 4.0, 8.0])
         x0 = np.array([1.0, -0.5, 0.25])
-        res = pcg_solve(lambda v: d * v, d * x0, precond=lambda r: r / d,
+        res = pcg_solve(lambda v, mv: d * v, d * x0, precond=lambda r: r / d,
                         x0=x0)
         assert res.iterations == 0 and res.residual == 0.0
         np.testing.assert_array_equal(res.x, x0)
         assert res.x is not x0
+
+    def test_carried_product_is_m_times_direction(self):
+        # with the Jacobi preconditioner M = diag(d), CG hands matvec
+        # M v beside each search direction v, and None at the start
+        rng = np.random.default_rng(6)
+        a = random_spd(30, rng, cond=1e3)
+        d = np.diag(a).copy()
+        rhs, x0 = rng.normal(size=30), rng.normal(size=30)
+        seen = []
+
+        def matvec(v, mv):
+            seen.append((v.copy(), None if mv is None else mv.copy()))
+            return a @ v
+
+        res = pcg_solve(matvec, rhs, precond=lambda r: r / d, tol=1e-10,
+                        x0=x0)
+        assert len(seen) == res.iterations + 1 > 10
+        assert seen[0][1] is None
+        for v, mv in seen[1:]:
+            np.testing.assert_allclose(mv, d * v, rtol=1e-12, atol=0)
 
     def test_reused_result_buffers(self):
         # matvec and precond write into one shared buffer, as the IAS x-step
@@ -127,9 +147,9 @@ class TestPcg:
         d = np.diag(a).copy()
         rhs, x0 = rng.normal(size=30), rng.normal(size=30)
         buf = np.empty(30)
-        fresh = pcg_solve(lambda v: a @ v, rhs, precond=lambda r: r / d,
+        fresh = pcg_solve(lambda v, mv: a @ v, rhs, precond=lambda r: r / d,
                           tol=1e-10, x0=x0)
-        shared = pcg_solve(lambda v: np.matmul(a, v, out=buf), rhs,
+        shared = pcg_solve(lambda v, mv: np.matmul(a, v, out=buf), rhs,
                            precond=lambda r: np.divide(r, d, out=buf),
                            tol=1e-10, x0=x0)
         assert shared.x is not buf
@@ -147,7 +167,7 @@ class TestPcg:
         best = {}
         for maxit in (8, 9):
             with pytest.raises(PcgError) as exc:
-                pcg_solve(lambda v: np.matmul(a, v, out=buf), rhs, tol=1e-14,
+                pcg_solve(lambda v, mv: np.matmul(a, v, out=buf), rhs, tol=1e-14,
                           maxit=maxit)
             best[maxit] = exc.value
         np.testing.assert_array_equal(best[9].best, best[8].best)
@@ -165,7 +185,7 @@ class TestPcg:
         rhs, x0 = rng.normal(size=12), rng.normal(size=12)
         rhs_in, x0_in = rhs.copy(), x0.copy()
         pre = None if precond is None else (lambda r: r / np.diag(a))
-        res = pcg_solve(lambda v: a @ v, rhs, precond=pre, tol=1e-10, x0=x0)
+        res = pcg_solve(lambda v, mv: a @ v, rhs, precond=pre, tol=1e-10, x0=x0)
         np.testing.assert_array_equal(rhs, rhs_in)
         np.testing.assert_array_equal(x0, x0_in)
         assert res.x is not x0
