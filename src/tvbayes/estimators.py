@@ -48,7 +48,8 @@ from .model import (
     LatentState,
     ModelSpec,
     lambda_conditional,
-    log_joint,
+    latent_sums,
+    log_joint_from_sums,
     # not called here: bound because perfbench/spans.py patches this name,
     # and its ``instrument`` raises KeyError when the name is missing
     log_posterior,  # noqa: F401
@@ -225,7 +226,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     newest values. Stops when the relative x change drops below ``tol``.
     Every sweep scores the joint log-density after each of its four
     sub-steps (``substep_logposts``) with ``log_joint``, from the one
-    ``x_statistics`` call of the sweep; none may lower it.
+    ``x_statistics`` call of the sweep and the latent sums of the newest r;
+    none may lower it.
     """
     opts = opts or IasOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -238,30 +240,39 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     # the first CG solve (x0 is H'y, held for the whole run)
     del state
     weights = row_weights_from_r(r, model)
+    r_sums = latent_sums(r)
     trace, substeps = [], []
     converged = False
     iterations = 0
     for it in range(1, opts.maxit + 1):
         iterations = it
+        # until the r-step only its latent sums are read, so the CG solve,
+        # where the run's peak memory is, runs without r
+        r = None
         x_prev = x
         x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
                         opts.pcg_tol, x_prev)
         sq_resid, dx2 = x_statistics(x, y, model)
         penalty = float(np.sum(dx2 * weights))
-        step_logs = [log_joint(nu, lam, r, sq_resid, penalty, model)]
+        step_logs = [log_joint_from_sums(nu, lam, r_sums, sq_resid, penalty,
+                                         model)]
 
         nu = _gamma_mode(nu_conditional(sq_resid, model), "nu", it)
-        step_logs.append(log_joint(nu, lam, r, sq_resid, penalty, model))
+        step_logs.append(log_joint_from_sums(nu, lam, r_sums, sq_resid,
+                                             penalty, model))
 
         lam = _gamma_mode(lambda_conditional(penalty, model), "lambda", it)
         _check_lambda(lam, it)
-        step_logs.append(log_joint(nu, lam, r, sq_resid, penalty, model))
+        step_logs.append(log_joint_from_sums(nu, lam, r_sums, sq_resid,
+                                             penalty, model))
 
         r = _r_mode_batch(a, r_conditional_b(dx2, lam, model), p_cond, it)
-        # the next sweep's CG solve reuses these weights
+        # the next sweep's CG solve reuses these weights and its log-joints
+        # these sums
         weights = row_weights_from_r(r, model)
-        logpost = log_joint(nu, lam, r, sq_resid,
-                            float(np.sum(dx2 * weights)), model)
+        r_sums = latent_sums(r)
+        logpost = log_joint_from_sums(nu, lam, r_sums, sq_resid,
+                                      float(np.sum(dx2 * weights)), model)
         # freed before the next sweep's CG solve, where the run's peak
         # memory is
         del dx2

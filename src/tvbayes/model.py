@@ -67,6 +67,8 @@ __all__ = [
     "GammaParams",
     "GaussianParams",
     "log_joint",
+    "latent_sums",
+    "log_joint_from_sums",
     "log_posterior",
     "x_statistics",
     "conditional_params",
@@ -303,12 +305,30 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
     return bprime
 
 
+def latent_sums(r: np.ndarray) -> tuple[float, float, float]:
+    """sum(log r), sum(r) and sum(1/r): all that :func:`log_joint` reads of
+    the latent scales, so a caller can keep these three floats instead of r.
+    Not checked here; :func:`log_joint_from_sums` names a non-finite one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(np.sum(np.log(r))), float(np.sum(r)),
+                float(np.sum(1.0 / r)))
+
+
 def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
               weighted_sq_diff: float, model: ModelSpec) -> float:
     """Joint log-density up to normalisation, from nu, lambda, r and the
     statistics ||y - Hx||^2 and ||R^{-1} D x||^2. Raises
     :class:`NonFiniteError` naming the block when any term is not finite."""
+    return log_joint_from_sums(nu, lam, latent_sums(r), sq_resid,
+                               weighted_sq_diff, model)
+
+
+def log_joint_from_sums(nu: float, lam: float,
+                        r_sums: tuple[float, float, float], sq_resid: float,
+                        weighted_sq_diff: float, model: ModelSpec) -> float:
+    """:func:`log_joint` with r given by its :func:`latent_sums`."""
     mix, h = model.prior.mixing, model.hyper
+    sum_log_r, sum_r, sum_inv_r = r_sums
 
     def block(value: float, where: str) -> float:
         if not math.isfinite(value):
@@ -321,12 +341,10 @@ def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
                       - h.beta_lambda * lam, "lambda hyperprior")
         total += block((model.nu_shape - 1.0) * math.log(nu)
                        - h.beta_nu * nu, "nu hyperprior")
-        total += block(model.r_exponent * float(np.sum(np.log(r))),
-                       "latent exponent")
+        total += block(model.r_exponent * sum_log_r, "latent exponent")
         total += block(-0.5 * nu * sq_resid, "likelihood")
         total += block(-0.5 * lam * weighted_sq_diff, "tv penalty")
-        total += block(-0.5 * mix.a * float(np.sum(r))
-                       - 0.5 * mix.b * float(np.sum(1.0 / r)),
+        total += block(-0.5 * mix.a * sum_r - 0.5 * mix.b * sum_inv_r,
                        "latent prior")
     return total
 

@@ -8,10 +8,11 @@ directions.
 The difference operator D stacks a horizontal block (x[i, j+1] - x[i, j])
 over a vertical block (x[i+1, j] - x[i, j]); a block whose lattice
 dimension is 1 would be identically zero and is dropped, so a 1-D signal
-gets the plain circulant first-difference matrix. All of D's geometry is
-one step table of grid slices (see ``DiffOperator``); D, D', the row
-quadratic of VB and the +1/-1 column indices of the dense paths each loop
-over it.
+gets the plain circulant first-difference matrix. D's geometry is a step
+table of grid slices (see ``DiffOperator``); D, D', the row quadratic of VB
+and the +1/-1 column indices of the dense paths each loop over it. The CG
+apply D'(W - w_mean I) D reads the same rows as flat shifts of the stacked
+vector, one per block, built beside the table.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip. H, H', H'H and the
@@ -20,8 +21,10 @@ vector lengths in ``_check_length``. Inside an IAS CG solve each iteration
 makes one FFT round trip, the preconditioner's: its matrix M = H'H +
 (lambda/nu) w_mean D'D already holds H'H, so ``weighted_gram_matvec`` reads
 H'H v from the M v that CG carries (``solvers.pcg_solve``) and applies only
-the stencils. Every function that takes a blur and a difference operator
-first checks that they share a lattice (``_check_same_lattice``).
+the stencils, D'((W - w_mean I) D v) in one pass over the blocks
+(``DiffOperator.gram_matvec``), each a flat shift of the stacked vector.
+Every function that takes a blur and a difference operator first checks
+that they share a lattice (``_check_same_lattice``).
 
 The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
 ``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
@@ -135,7 +138,11 @@ class DiffOperator:
     Per kept block it holds the (ahead, here) slices of the interior rows
     ([1:], [:-1]) and of the wrapped edge row ([:1], [-1:]) on that axis.
     Those rows are g[ahead] - g[here], stored at ``here`` in the block;
-    ``pos_idx``/``neg_idx`` hold each row's +1 and -1 pixel.
+    ``pos_idx``/``neg_idx`` hold each row's +1 and -1 pixel. On the stacked
+    vector a block's rows are v[s + stride] - v[s], except its wrapped rows
+    (the last k pixels of the horizontal block, the last of each column in
+    the vertical one), whose +1 pixel wraps round; ``gram_matvec`` works on
+    that form.
     """
 
     # the blocks in row order, each with the axis of g it steps along
@@ -157,6 +164,12 @@ class DiffOperator:
                 steps.append((lead + (ahead,), lead + (here,),
                               (b, *lead, here)))
         self._steps = tuple(steps)
+        # the same rows on the stacked vector, per block: the stride of its
+        # step and the (here, ahead) pixels of its wrapped rows
+        k, N = lattice.k, lattice.size
+        self._shifts = tuple(
+            (k, np.s_[N - k:], np.s_[:k]) if axis == 0
+            else (1, np.s_[k - 1::k], np.s_[::k]) for axis in self._axes)
         pixels = np.arange(lattice.size).reshape(self._grid)
         pos = np.empty(self._rows, dtype=pixels.dtype)
         for ahead, _, row in self._steps:
@@ -202,6 +215,54 @@ class DiffOperator:
         # the -1 sums need an array of their own beside the +1 sums in out
         # (subtracting the blocks one by one would round differently)
         np.subtract(out, w.sum(axis=0), out=out)
+        return out
+
+    def gram_matvec(self, v: np.ndarray, row_weights: np.ndarray,
+                    offset: float = 0.0, out: np.ndarray | None = None,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+        """D'((W - offset I) D v) for W = diag(``row_weights``), into ``out``
+        (length N) through the work array ``rows`` (length ``n_rows``);
+        either is allocated when None.
+
+        One block at a time, on the stacked vector itself: a block's rows
+        are a flat shift of v by the block's stride minus v, with the
+        wrapped rows redone, so every pass but the wrapped rows' runs over
+        contiguous memory. The rows are weighted and scattered into ``out``;
+        W - offset is never formed whole (it goes through ``out`` before the
+        first scatter and through the first block's spent rows after it).
+        It agrees with ``rmatvec`` of the weighted ``matvec`` to round-off,
+        not bit for bit.
+        """
+        N = self.lattice.size
+        v = np.asarray(v, dtype=float)
+        _check_length(v, N, "stacked vector")
+        if out is None:
+            out = np.empty(N)
+        if rows is None:
+            rows = np.empty(self.n_rows)
+        _check_length(out, N, "stacked out")
+        _check_length(rows, self.n_rows, "difference-row work array")
+        blocks = rows.reshape(self.n_blocks, N)
+        weights = np.asarray(row_weights, dtype=float).reshape(self.n_blocks, N)
+        for b, (step, here, ahead) in enumerate(self._shifts):
+            d = blocks[b]
+            np.subtract(v[step:], v[:-step], out=d[:-step])
+            np.subtract(v[ahead], v[here], out=d[here])
+            if offset:
+                d *= np.subtract(weights[b], offset,
+                                 out=blocks[0] if b else out)
+            else:
+                d *= weights[b]
+            # each row is the -1 entry of its own pixel and the +1 entry of
+            # the pixel one step ahead; the flat shift back adds the wrapped
+            # rows to the wrong pixels, so those take their sums afresh
+            if b:
+                out -= d
+            else:
+                np.negative(d, out=out)
+            wrapped = out[ahead].copy()
+            out[step:] += d[:-step]
+            np.add(wrapped, d[here], out=out[ahead])
         return out
 
     def gram_eigenvalues(self) -> np.ndarray:
@@ -261,8 +322,9 @@ def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
                    spec: np.ndarray | None = None) -> np.ndarray:
     """rfft2(x) * mult transformed back, for a stacked vector x of length N.
 
-    The spectrum is formed and multiplied by ``mult`` in ``spec`` and the
-    result written into ``out``; either is allocated when None.
+    The spectrum is formed, multiplied by ``mult`` and transformed back in
+    ``spec``, and the result written into ``out``; either is allocated when
+    None.
     """
     _check_length(x, lattice.size, "stacked vector")
     grid = lattice.to_grid(x)
@@ -270,9 +332,11 @@ def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
     np.multiply(spec, mult, out=spec)
     if out is None:
         out = np.empty(lattice.size)
-    # numpy 2.4's irfft2 hands out=None on to irfftn whatever out it is
-    # given, so its result is copied into the buffer here
-    np.copyto(lattice.to_grid(out), np.fft.irfft2(spec, s=grid.shape))
+    # irfft2's two passes, bit for bit: numpy 2.4's irfft2 hands out=None on
+    # to irfftn whatever out it is given, so it would allocate a complex
+    # copy of the spectrum and a real result to be copied into out
+    np.fft.ifft(spec, axis=0, out=spec)
+    np.fft.irfft(spec, n=grid.shape[1], axis=1, out=lattice.to_grid(out))
     return out
 
 
@@ -407,15 +471,7 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
         mv, mean_weight = blur.gram_matvec(v, out=acc, spec=spec), 0.0
     elif mean_weight is None:
         raise ValueError("a carried mv needs the preconditioner's mean_weight")
-    rows = diff.matvec(v, out=rows)
-    if out is None:
-        out = np.empty(blur.size)
-    # the rows times W - w_mean, a block at a time through out, which then
-    # takes the penalty and mv
-    for block, w in zip(rows.reshape(diff.n_blocks, -1),
-                        row_weights.reshape(diff.n_blocks, -1)):
-        block *= np.subtract(w, mean_weight, out=out)
-    out = diff.rmatvec(rows, out=out)
+    out = diff.gram_matvec(v, row_weights, mean_weight, out=out, rows=rows)
     out *= lam_over_nu
     out += mv
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import NotSpdError, PcgError, SpentFactorError
 
@@ -70,7 +70,6 @@ def pcg_solve(matvec: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     mp = r.copy()  # M p
     rz = float(r @ z)
     best_x, best_res = x.copy(), res
-    step = np.empty(n)
     for it in range(1, maxit + 1):
         qp = matvec(p, mp)
         pqp = float(p @ qp)
@@ -78,8 +77,10 @@ def pcg_solve(matvec: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
             raise PcgError(f"CG breakdown at iteration {it}: p'Qp = {pqp}",
                            best=best_x, iterations=it, residual=best_res)
         alpha = rz / pqp
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, qp, out=step)
+        # BLAS axpy updates x and r in place (both are contiguous float
+        # arrays of this solve), with no step array
+        x = blas.daxpy(p, x, a=alpha)
+        r = blas.daxpy(qp, r, a=-alpha)
         res = float(np.linalg.norm(r)) / rhs_norm
         if not np.isfinite(res):
             raise PcgError(f"CG produced non-finite residual at iteration {it}",

@@ -23,7 +23,9 @@ from tvbayes.model import (
     Prior,
     StudentTV,
     conditional_params,
+    latent_sums,
     log_joint,
+    log_joint_from_sums,
     log_posterior,
     row_weights_from_r,
 )
@@ -220,6 +222,25 @@ class TestLogPosterior:
             got = log_joint(state.nu, state.lam, state.r,
                             float(resid @ resid), penalty, model)
             assert got == log_posterior(state, y, model)
+
+    @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()])
+    def test_log_joint_reads_r_through_its_sums(self, prior):
+        # IAS keeps the three sums instead of r through its CG solve
+        model = make_model(prior=prior)
+        state = random_state(model, np.random.default_rng(16))
+        r = state.r
+        sums = latent_sums(r)
+        assert sums == (float(np.sum(np.log(r))), float(np.sum(r)),
+                        float(np.sum(1.0 / r)))
+        assert (log_joint_from_sums(state.nu, state.lam, sums, 2.0, 3.0, model)
+                == log_joint(state.nu, state.lam, r, 2.0, 3.0, model))
+        for i, where in ((0, "latent exponent"), (2, "latent prior")):
+            bad = list(sums)
+            bad[i] = math.inf
+            with pytest.raises(NonFiniteError) as exc:
+                log_joint_from_sums(state.nu, state.lam, tuple(bad), 2.0, 3.0,
+                                    model)
+            assert exc.value.where == where
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["log_posterior", "x", "nu", "lambda",

@@ -171,6 +171,27 @@ class TestDiffOperator:
             assert d.rmatvec(w, out=col) is col
             np.testing.assert_array_equal(col, want_dtw)
 
+    @pytest.mark.parametrize("k,n", LATTICES + TWO_WIDE + [(7, 5)])
+    @pytest.mark.parametrize("offset", [0.0, 0.4])
+    def test_gram_matvec_is_weighted_stencils(self, k, n, offset):
+        # D'((W - offset) D v) by flat shifts, allocating and into buffers
+        # passed in (twice, so the second call overwrites the first's)
+        d = DiffOperator(LatticeSpec(k, n))
+        N = d.lattice.size
+        rows, out = nan_buffer(d.n_rows), nan_buffer(N)
+        rng = np.random.default_rng(19)
+        for _ in range(2):
+            v, w = rng.normal(size=N), rng.uniform(0.0, 2.0, size=d.n_rows)
+            want = d.rmatvec((w - offset) * d.matvec(v))
+            got = d.gram_matvec(v, w, offset)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            assert d.gram_matvec(v, w, offset, out=out, rows=rows) is out
+            np.testing.assert_array_equal(out, got)
+        with pytest.raises(ValueError, match=f"length {d.n_rows}"):
+            d.gram_matvec(v, w, offset, rows=np.empty(N + 1))
+        with pytest.raises(ValueError, match=f"length {N}"):
+            d.gram_matvec(v[:-1], w, offset)
+
     def test_rejects_wrong_lengths(self):
         # a 9 x 4 lattice: N = 36 pixels, 72 difference rows
         d = DiffOperator(LatticeSpec(9, 4))
