@@ -49,7 +49,7 @@ from .model import (
     ModelSpec,
     lambda_conditional,
     latent_sums,
-    log_joint_from_sums,
+    log_joint,
     # not called here: bound because perfbench/spans.py patches this name,
     # and its ``instrument`` raises KeyError when the name is missing
     log_posterior,  # noqa: F401
@@ -195,24 +195,22 @@ def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
     Each CG iteration makes one FFT round trip, the preconditioner's apply
     of M^{-1} for M = H'H + ratio w_mean D'D. The gram apply takes the M p
     that CG carries and adds ratio D'(W - w_mean I) D p to it, with no
-    transform; only the start residual applies H'H by FFT.
+    transform; only the start residual applies H'H by FFT, and it checks
+    ``weights`` and ``ratio`` for the whole solve.
 
-    The solve owns one set of work arrays, made here and freed on return:
-    the spectrum and the N-vector result are shared by the gram apply and
-    the preconditioner (PCG uses each result before the next call), plus
-    the difference rows of the gram apply. The start residual's apply
-    allocates its own H'H v, which the carried applies do without.
+    The solve owns its work arrays, made here and freed on return: one
+    N-vector result, shared by the gram apply and the preconditioner (PCG
+    uses each result before the next call), and the difference rows of the
+    gram apply. The preconditioner holds its own spectrum.
     """
-    spec = np.empty(blur.lattice.rfft_shape, dtype=complex)
     rows, out = np.empty(diff.n_rows), np.empty(blur.size)
     w_mean = float(np.mean(weights))
     sol = pcg_solve(
         lambda v, mv: weighted_gram_matvec(blur, diff, ratio, weights, v, out,
-                                           spec=spec, rows=rows, mv=mv,
+                                           rows=rows, mv=mv,
                                            mean_weight=w_mean),
         rhs,
-        precond=circulant_gram_precond(blur, diff, ratio, w_mean,
-                                       spec=spec, out=out),
+        precond=circulant_gram_precond(blur, diff, ratio, w_mean, out=out),
         tol=tol, x0=x0)
     return sol.x
 
@@ -232,6 +230,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     opts = opts or IasOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
         raise ValueError("ias needs maxit >= 1 and a finite tol > 0")
+    if not 0 < opts.pcg_tol < 1:
+        raise ValueError(f"ias needs 0 < pcg_tol < 1, got {opts.pcg_tol}")
     y, state, hty = _start(y, model, opts.init)
     a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
@@ -254,25 +254,22 @@ def ias_run(y: np.ndarray, model: ModelSpec,
                         opts.pcg_tol, x_prev)
         sq_resid, dx2 = x_statistics(x, y, model)
         penalty = float(np.sum(dx2 * weights))
-        step_logs = [log_joint_from_sums(nu, lam, r_sums, sq_resid, penalty,
-                                         model)]
+        step_logs = [log_joint(nu, lam, r_sums, sq_resid, penalty, model)]
 
         nu = _gamma_mode(nu_conditional(sq_resid, model), "nu", it)
-        step_logs.append(log_joint_from_sums(nu, lam, r_sums, sq_resid,
-                                             penalty, model))
+        step_logs.append(log_joint(nu, lam, r_sums, sq_resid, penalty, model))
 
         lam = _gamma_mode(lambda_conditional(penalty, model), "lambda", it)
         _check_lambda(lam, it)
-        step_logs.append(log_joint_from_sums(nu, lam, r_sums, sq_resid,
-                                             penalty, model))
+        step_logs.append(log_joint(nu, lam, r_sums, sq_resid, penalty, model))
 
         r = _r_mode_batch(a, r_conditional_b(dx2, lam, model), p_cond, it)
         # the next sweep's CG solve reuses these weights and its log-joints
         # these sums
         weights = row_weights_from_r(r, model)
         r_sums = latent_sums(r)
-        logpost = log_joint_from_sums(nu, lam, r_sums, sq_resid,
-                                      float(np.sum(dx2 * weights)), model)
+        logpost = log_joint(nu, lam, r_sums, sq_resid,
+                            float(np.sum(dx2 * weights)), model)
         # freed before the next sweep's CG solve, where the run's peak
         # memory is
         del dx2

@@ -19,8 +19,9 @@ familiar lambda^(N + a_l - 1) exponent; the same formulas specialise 1-D
 signals (M = N, L = 1 in both layouts) without special cases.
 
 The density reads x only through ||y - Hx||^2 and the squared differences
-(Dx)^2, formed in one place, :func:`x_statistics`. It is written once, in
-:func:`log_joint`, as six named blocks over nu, lambda, the latent scales
+(Dx)^2, formed in one place, :func:`x_statistics`, and r only through
+sum(log r), sum(r) and sum(1/r), formed in :func:`latent_sums`. It is
+written once, in :func:`log_joint`, as six named blocks over nu, lambda
 and those statistics; :func:`log_posterior` evaluates it at a state, and
 IAS scores all four sub-steps of a sweep with it, from the statistics the
 sweep already holds.
@@ -68,7 +69,6 @@ __all__ = [
     "GaussianParams",
     "log_joint",
     "latent_sums",
-    "log_joint_from_sums",
     "log_posterior",
     "x_statistics",
     "conditional_params",
@@ -231,7 +231,11 @@ class LatentState:
 def row_weights_from_r(r: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Diagonal of R^{-2} = 1/(2 r_row), expanding per-pixel latents over
     their difference rows."""
-    return 1.0 / (2.0 * model.latents_to_rows(r))
+    # formed in place in the spread copy: one row-length temporary fewer
+    # beside the arrays an IAS sweep holds
+    w = model.latents_to_rows(np.asarray(r, dtype=float))
+    w *= 2.0
+    return np.divide(1.0, w, out=w)
 
 
 @dataclass
@@ -297,8 +301,10 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
     its expectation), pooling each latent's L rows.
     With ``check`` a zero b' (exact b = 0 mixing only) raises; callers that
     need one latent check just that one."""
-    sq_diffs = sq_diffs.reshape(model.rows_per_latent, -1).sum(axis=0)
-    bprime = 0.5 * lam * sq_diffs + model.prior.mixing.b
+    bprime = sq_diffs.reshape(model.rows_per_latent, -1).sum(axis=0,
+                                                           dtype=float)
+    bprime *= 0.5 * lam
+    bprime += model.prior.mixing.b
     if check and np.any(bprime == 0.0):
         raise _degenerate(f"{int(np.sum(bprime == 0.0))} latent-scale "
                           "conditional(s)")
@@ -308,25 +314,19 @@ def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
 def latent_sums(r: np.ndarray) -> tuple[float, float, float]:
     """sum(log r), sum(r) and sum(1/r): all that :func:`log_joint` reads of
     the latent scales, so a caller can keep these three floats instead of r.
-    Not checked here; :func:`log_joint_from_sums` names a non-finite one."""
+    Not checked here; :func:`log_joint` names a non-finite one."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (float(np.sum(np.log(r))), float(np.sum(r)),
                 float(np.sum(1.0 / r)))
 
 
-def log_joint(nu: float, lam: float, r: np.ndarray, sq_resid: float,
-              weighted_sq_diff: float, model: ModelSpec) -> float:
-    """Joint log-density up to normalisation, from nu, lambda, r and the
-    statistics ||y - Hx||^2 and ||R^{-1} D x||^2. Raises
-    :class:`NonFiniteError` naming the block when any term is not finite."""
-    return log_joint_from_sums(nu, lam, latent_sums(r), sq_resid,
-                               weighted_sq_diff, model)
-
-
-def log_joint_from_sums(nu: float, lam: float,
-                        r_sums: tuple[float, float, float], sq_resid: float,
-                        weighted_sq_diff: float, model: ModelSpec) -> float:
-    """:func:`log_joint` with r given by its :func:`latent_sums`."""
+def log_joint(nu: float, lam: float, r_sums: tuple[float, float, float],
+              sq_resid: float, weighted_sq_diff: float,
+              model: ModelSpec) -> float:
+    """Joint log-density up to normalisation, from nu, lambda, the
+    :func:`latent_sums` of r and the statistics ||y - Hx||^2 and
+    ||R^{-1} D x||^2. Raises :class:`NonFiniteError` naming the block when
+    any term is not finite."""
     mix, h = model.prior.mixing, model.hyper
     sum_log_r, sum_r, sum_inv_r = r_sums
 
@@ -364,8 +364,8 @@ def log_posterior(state: LatentState, y: np.ndarray, model: ModelSpec) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         sq_resid, dx2 = x_statistics(state.x, y, model)
         penalty = float(np.sum(dx2 * row_weights_from_r(state.r, model)))
-        return log_joint(state.nu, state.lam, state.r, sq_resid, penalty,
-                         model)
+        return log_joint(state.nu, state.lam, latent_sums(state.r), sq_resid,
+                         penalty, model)
 
 
 def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,

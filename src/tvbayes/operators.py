@@ -8,11 +8,12 @@ directions.
 The difference operator D stacks a horizontal block (x[i, j+1] - x[i, j])
 over a vertical block (x[i+1, j] - x[i, j]); a block whose lattice
 dimension is 1 would be identically zero and is dropped, so a 1-D signal
-gets the plain circulant first-difference matrix. D's geometry is a step
-table of grid slices (see ``DiffOperator``); D, D', the row quadratic of VB
-and the +1/-1 column indices of the dense paths each loop over it. The CG
-apply D'(W - w_mean I) D reads the same rows as flat shifts of the stacked
-vector, one per block, built beside the table.
+gets the plain circulant first-difference matrix. D's geometry is one
+table with an entry per kept block (see ``DiffOperator``): a block's rows
+are a flat shift of the stacked vector by its stride, with its wrapped rows
+redone. D, D', the CG apply D'(W - w_mean I) D, the row quadratic of VB,
+the D'D eigenvalues and the +1/-1 column indices of the dense paths all
+read it, through one row-forming helper and one scatter helper.
 
 The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
 is the real |H^|^2, and H'H v costs one FFT round trip. H, H', H'H and the
@@ -33,20 +34,23 @@ from its lag table (the mask's autocorrelation wrapped onto the lattice,
 ``BlurOperator.to_dense`` and ``DiffOperator.to_dense`` are test oracles
 only.
 
-Buffers: ``BlurOperator.gram_matvec``, ``DiffOperator.matvec``/``rmatvec``,
-``weighted_gram_matvec`` and the ``circulant_gram_precond`` apply take their
-work and result arrays from the caller (``out``, ``spec``, ``rows``,
-``acc``), numpy style, and allocate the ones not given. The operators keep
-none: a CG solve owns one set for its whole run (``estimators._gram_solve``),
-so the arrays are freed when the solve ends rather than held while the
-caller goes on. Each such call overwrites its buffers, so a result written
-into one is valid until the next call that is given it.
+Buffers: only the arrays an IAS CG solve reuses come from the caller, numpy
+style, and are allocated when not given: the result ``out`` of
+``weighted_gram_matvec`` (and of ``DiffOperator.gram_matvec``), which the
+``circulant_gram_precond`` apply shares, and the difference rows ``rows``.
+The preconditioner makes its one spectrum array when it is built. The
+operators keep none: a CG solve owns its set for its whole run
+(``estimators._gram_solve``), so the arrays are freed when the solve ends
+rather than held while the caller goes on. Each such call overwrites its
+buffers, so a result written into one is valid until the next call that is
+given it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -100,11 +104,6 @@ class LatticeSpec:
     def size(self) -> int:
         return self.k * self.n
 
-    @property
-    def rfft_shape(self) -> tuple[int, int]:
-        """Shape of the rfft2 spectrum of a k x n grid."""
-        return self.k, self.n // 2 + 1
-
     def index(self, i: int, j: int) -> int:
         """Stacked index of pixel (row i, column j), 0-based."""
         return (j % self.n) * self.k + (i % self.k)
@@ -130,52 +129,57 @@ class LatticeSpec:
         return v
 
 
+def _block_rows(op, v: np.ndarray, d: np.ndarray, block: tuple):
+    """op(v at the +1 pixel, v at the -1 pixel) of one difference block's
+    rows into ``d``: the flat shift of v by the block's stride, then the
+    wrapped rows afresh from their +1 pixels."""
+    stride, here, ahead, _, _ = block
+    op(v[stride:], v[:-stride], out=d[:-stride])
+    op(v[ahead], v[here], out=d[here])
+
+
+def _scatter_ahead(out: np.ndarray, d: np.ndarray, block: tuple):
+    """Add each of one block's rows ``d`` to its +1 pixel in ``out``: the
+    flat shift back by the block's stride adds the wrapped rows to the
+    wrong pixels, so those take their sums afresh."""
+    stride, here, ahead, _, _ = block
+    wrapped = out[ahead].copy()
+    out[stride:] += d[:-stride]
+    np.add(wrapped, d[here], out=out[ahead])
+
+
 class DiffOperator:
     """Periodic first-difference operator over a lattice.
 
-    The step table views a stacked vector as the n x k array g[j, i]: the
-    horizontal block steps along axis 0, the vertical one along axis 1.
-    Per kept block it holds the (ahead, here) slices of the interior rows
-    ([1:], [:-1]) and of the wrapped edge row ([:1], [-1:]) on that axis.
-    Those rows are g[ahead] - g[here], stored at ``here`` in the block;
-    ``pos_idx``/``neg_idx`` hold each row's +1 and -1 pixel. On the stacked
-    vector a block's rows are v[s + stride] - v[s], except its wrapped rows
+    One table holds D's geometry, one entry per kept block: (stride, here,
+    ahead, axis, period). On the stacked vector a block's rows are
+    v[s + stride] - v[s], stored at s, except its wrapped rows ``here``
     (the last k pixels of the horizontal block, the last of each column in
-    the vertical one), whose +1 pixel wraps round; ``gram_matvec`` works on
-    that form.
+    the vertical one), whose +1 pixels ``ahead`` wrap round. ``axis`` is the
+    axis of the k x (n//2+1) rfft2 spectrum the block steps along, and
+    ``period`` the lattice side on it. D, D', the CG apply, the row
+    quadratic of VB, the D'D eigenvalues and the +1/-1 pixel of every row
+    (``pos_idx``/``neg_idx``) all read it.
     """
-
-    # the blocks in row order, each with the axis of g it steps along
-    _BLOCK_AXES = (("h", 0), ("v", 1))
 
     def __init__(self, lattice: LatticeSpec):
         self.lattice = lattice
-        self._grid = (lattice.n, lattice.k)
-        kept = [(name, axis) for name, axis in self._BLOCK_AXES
-                if self._grid[axis] >= 2]
+        k, n, N = lattice.k, lattice.n, lattice.size
+        # a block whose period is 1 has identically zero rows: it is dropped
+        kept = [(name, block) for name, block in (
+            ("h", (k, np.s_[N - k:], np.s_[:k], 1, n)),
+            ("v", (1, np.s_[k - 1::k], np.s_[::k], 0, k)))
+            if block[-1] >= 2]
         self.blocks: tuple[str, ...] = tuple(name for name, _ in kept)
-        self._axes = tuple(axis for _, axis in kept)
-        self._rows = (len(kept), *self._grid)
-        steps = []
-        for b, axis in enumerate(self._axes):
-            lead = (slice(None),) * axis
-            for ahead, here in ((np.s_[1:], np.s_[:-1]),
-                                (np.s_[:1], np.s_[-1:])):
-                steps.append((lead + (ahead,), lead + (here,),
-                              (b, *lead, here)))
-        self._steps = tuple(steps)
-        # the same rows on the stacked vector, per block: the stride of its
-        # step and the (here, ahead) pixels of its wrapped rows
-        k, N = lattice.k, lattice.size
-        self._shifts = tuple(
-            (k, np.s_[N - k:], np.s_[:k]) if axis == 0
-            else (1, np.s_[k - 1::k], np.s_[::k]) for axis in self._axes)
-        pixels = np.arange(lattice.size).reshape(self._grid)
-        pos = np.empty(self._rows, dtype=pixels.dtype)
-        for ahead, _, row in self._steps:
-            pos[row] = pixels[ahead]
-        self.pos_idx = pos.ravel()
-        self.neg_idx = np.tile(pixels.ravel(), len(kept))
+        self._table = tuple(block for _, block in kept)
+        pixels = np.arange(N)
+        self.neg_idx = np.tile(pixels, len(kept))
+        # a row's +1 pixel is its -1 pixel plus that row of D applied to the
+        # pixel numbers
+        self.pos_idx = np.empty_like(self.neg_idx)
+        for d, block in zip(self.pos_idx.reshape(len(kept), N), self._table):
+            _block_rows(np.subtract, pixels, d, block)
+        self.pos_idx += self.neg_idx
 
     @property
     def n_rows(self) -> int:
@@ -185,33 +189,25 @@ class DiffOperator:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """D x, written into ``out`` (length ``n_rows``) when given."""
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """D x."""
         x = np.asarray(x, dtype=float)
         _check_length(x, self.lattice.size, "stacked vector")
-        if out is None:
-            out = np.empty(self.n_rows)
-        _check_length(out, self.n_rows, "difference-row out")
-        g, rows = x.reshape(self._grid), out.reshape(self._rows)
-        for ahead, here, row in self._steps:
-            np.subtract(g[ahead], g[here], out=rows[row])
-        return out
+        out = np.empty((self.n_blocks, self.lattice.size))
+        for d, block in zip(out, self._table):
+            _block_rows(np.subtract, x, d, block)
+        return out.ravel()
 
-    def rmatvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """D' w, written into ``out`` (length N) when given."""
-        N = self.lattice.size
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """D' w."""
         w = np.asarray(w, dtype=float)
         _check_length(w, self.n_rows, "difference-row vector")
-        w = w.reshape(self.n_blocks, N)
-        if out is None:
-            out = np.empty(N)
-        _check_length(out, N, "stacked out")
+        w = w.reshape(self.n_blocks, self.lattice.size)
         # a pixel is the +1 entry of the row one step back in each block and
         # the -1 entry of its own row
-        out.fill(0.0)
-        g, rows = out.reshape(self._grid), w.reshape(self._rows)
-        for ahead, _, row in self._steps:
-            g[ahead] += rows[row]
+        out = np.zeros(self.lattice.size)
+        for d, block in zip(w, self._table):
+            _scatter_ahead(out, d, block)
         # the -1 sums need an array of their own beside the +1 sums in out
         # (subtracting the blocks one by one would round differently)
         np.subtract(out, w.sum(axis=0), out=out)
@@ -224,14 +220,13 @@ class DiffOperator:
         (length N) through the work array ``rows`` (length ``n_rows``);
         either is allocated when None.
 
-        One block at a time, on the stacked vector itself: a block's rows
-        are a flat shift of v by the block's stride minus v, with the
-        wrapped rows redone, so every pass but the wrapped rows' runs over
-        contiguous memory. The rows are weighted and scattered into ``out``;
-        W - offset is never formed whole (it goes through ``out`` before the
-        first scatter and through the first block's spent rows after it).
-        It agrees with ``rmatvec`` of the weighted ``matvec`` to round-off,
-        not bit for bit.
+        One block at a time, on the stacked vector itself: the block's rows
+        are formed as in ``matvec``, weighted, and scattered into ``out`` as
+        in ``rmatvec``, so every pass but the wrapped rows' runs over
+        contiguous memory. W - offset is never formed whole (it goes through
+        ``out`` before the first scatter and through the first block's spent
+        rows after it). It agrees with ``rmatvec`` of the weighted
+        ``matvec`` to round-off, not bit for bit.
         """
         N = self.lattice.size
         v = np.asarray(v, dtype=float)
@@ -244,39 +239,34 @@ class DiffOperator:
         _check_length(rows, self.n_rows, "difference-row work array")
         blocks = rows.reshape(self.n_blocks, N)
         weights = np.asarray(row_weights, dtype=float).reshape(self.n_blocks, N)
-        for b, (step, here, ahead) in enumerate(self._shifts):
-            d = blocks[b]
-            np.subtract(v[step:], v[:-step], out=d[:-step])
-            np.subtract(v[ahead], v[here], out=d[here])
+        for b, (d, block) in enumerate(zip(blocks, self._table)):
+            _block_rows(np.subtract, v, d, block)
             if offset:
                 d *= np.subtract(weights[b], offset,
                                  out=blocks[0] if b else out)
             else:
                 d *= weights[b]
-            # each row is the -1 entry of its own pixel and the +1 entry of
-            # the pixel one step ahead; the flat shift back adds the wrapped
-            # rows to the wrong pixels, so those take their sums afresh
+            # each row is the -1 entry of its own pixel
             if b:
                 out -= d
             else:
                 np.negative(d, out=out)
-            wrapped = out[ahead].copy()
-            out[step:] += d[:-step]
-            np.add(wrapped, d[here], out=out[ahead])
+            _scatter_ahead(out, d, block)
         return out
 
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of D'D on the rfft2 frequency grid.
 
         Each periodic difference block contributes |1 - e^{2 pi i f}|^2
-        = 2 - 2 cos(2 pi f) along its axis (axis 1 - a of the k x (n//2+1)
-        spectrum for axis a of g); D'D is circulant, so these are exact.
+        = 2 - 2 cos(2 pi f) along its spectrum axis; D'D is circulant, so
+        these are exact.
         """
-        shape = self.lattice.rfft_shape
+        shape = (self.lattice.k, self.lattice.n // 2 + 1)
         out = np.zeros(shape)
-        for axis in self._axes:
-            f = np.arange(shape[1 - axis]) / self._grid[axis]
-            out += np.expand_dims(2.0 - 2.0 * np.cos(2.0 * np.pi * f), axis)
+        for *_, axis, period in self._table:
+            f = np.arange(shape[axis]) / period
+            out += np.expand_dims(2.0 - 2.0 * np.cos(2.0 * np.pi * f),
+                                  1 - axis)
         return out
 
     def weighted_gram_dense(self, row_weights: np.ndarray) -> np.ndarray:
@@ -298,15 +288,13 @@ class DiffOperator:
                              ) -> tuple[np.ndarray, np.ndarray]:
         """diag(D G G' D') and diag(G G') for a dense N x N G: per row
         (p, q) of D, |G[p]|^2 + |G[q]|^2 - 2 G[p].G[q], the products over
-        the step table's row slices of G as in ``matvec`` (no D G is
-        formed), and the squared row norms |G[s]|^2 it sums."""
-        g3 = g.reshape(*self._grid, -1)
-        dots = np.empty(self.n_rows)
-        rows = dots.reshape(self._rows)
-        for ahead, here, row in self._steps:
-            np.einsum("jil,jil->ji", g3[ahead], g3[here], out=rows[row])
+        the rows of G formed as in ``matvec`` (no D G is formed), and the
+        squared row norms |G[s]|^2 it sums."""
+        dots = np.empty((self.n_blocks, self.lattice.size))
+        for d, block in zip(dots, self._table):
+            _block_rows(partial(np.einsum, "il,il->i"), g, d, block)
         sq = np.einsum("ij,ij->i", g, g)
-        return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots, sq
+        return sq[self.pos_idx] + sq[self.neg_idx] - 2.0 * dots.ravel(), sq
 
     def to_dense(self) -> np.ndarray:
         _check_dense(self.lattice.size, "difference operator assembly")
@@ -404,12 +392,9 @@ class BlurOperator:
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         return _fourier_apply(self.lattice, x, self._adj)
 
-    def gram_matvec(self, x: np.ndarray, out: np.ndarray | None = None,
-                    spec: np.ndarray | None = None) -> np.ndarray:
-        """H'H x in one FFT round trip, into ``out`` (length N) through the
-        spectrum buffer ``spec`` (``lattice.rfft_shape``, complex) when
-        given."""
-        return _fourier_apply(self.lattice, x, self._gram, out, spec)
+    def gram_matvec(self, x: np.ndarray) -> np.ndarray:
+        """H'H x in one FFT round trip."""
+        return _fourier_apply(self.lattice, x, self._gram)
 
     def to_dense(self) -> np.ndarray:
         """Dense H (N x N), capacity gated: a test oracle only; ``dense_gram``
@@ -438,37 +423,36 @@ def _check_same_lattice(blur: BlurOperator, diff: DiffOperator):
 def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
                          lam_over_nu: float, row_weights: np.ndarray,
                          v: np.ndarray, out: np.ndarray | None = None, *,
-                         spec: np.ndarray | None = None,
                          rows: np.ndarray | None = None,
-                         acc: np.ndarray | None = None,
                          mv: np.ndarray | None = None,
                          mean_weight: float | None = None) -> np.ndarray:
     """(H'H + (lambda/nu) D' W D) v without forming the matrix.
 
     The result is mv + (lambda/nu) D'((W - w_mean I) D v) for
-    mv = (H'H + (lambda/nu) w_mean D'D) v, with D and D' applied as grid
-    stencils. Without ``mv``, w_mean is 0 and mv = H'H v is formed in
-    ``acc`` by its circulant multiplier |H^|^2 (one FFT round trip, with
-    ``spec`` as the rfft2 spectrum). A caller that passes ``mv`` (the M v
-    that CG carries, with no FFT here) must pass as ``mean_weight`` the
-    w_mean that its ``circulant_gram_precond`` M was built with.
-    ``row_weights`` is the diagonal of W = R^{-2}, one entry per difference
-    row; zero entries are allowed (a safeguarded prior keeps them finite).
-    The result goes into ``out`` (length N, neither ``v`` nor ``mv``), which
-    also serves as work space; ``rows`` holds the difference rows. Each
-    array is allocated when not given.
+    mv = (H'H + (lambda/nu) w_mean D'D) v, with D and D' applied as
+    stencils. Without ``mv``, w_mean is 0 and mv = H'H v is formed by its
+    circulant multiplier |H^|^2 (one FFT round trip). A caller that passes
+    ``mv`` (the M v that CG carries, with no FFT here) must pass as
+    ``mean_weight`` the w_mean that its ``circulant_gram_precond`` M was
+    built with. ``row_weights`` is the diagonal of W = R^{-2}, one entry per
+    difference row; zero entries are allowed (a safeguarded prior keeps them
+    finite). It and ``lam_over_nu`` are checked on calls without ``mv``
+    only: a CG solve checks them at its start apply, and its carried
+    applies reuse the same arrays. The result goes into ``out`` (length N,
+    neither ``v`` nor ``mv``), which also serves as work space; ``rows``
+    holds the difference rows. Each is allocated when not given.
     """
     _check_same_lattice(blur, diff)
-    row_weights = np.asarray(row_weights, dtype=float)
-    # NaN fails both comparisons, since min and max propagate it
-    if not (row_weights.min() >= 0 and row_weights.max() < np.inf):
-        raise NonFiniteError("difference row weights must be finite and >= 0",
-                             where="row_weights")
-    if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
-        raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
-                             where="lam_over_nu")
     if mv is None:
-        mv, mean_weight = blur.gram_matvec(v, out=acc, spec=spec), 0.0
+        row_weights = np.asarray(row_weights, dtype=float)
+        # NaN fails both comparisons, since min and max propagate it
+        if not (row_weights.min() >= 0 and row_weights.max() < np.inf):
+            raise NonFiniteError("difference row weights must be finite and "
+                                 ">= 0", where="row_weights")
+        if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
+            raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
+                                 where="lam_over_nu")
+        mv, mean_weight = blur.gram_matvec(v), 0.0
     elif mean_weight is None:
         raise ValueError("a carried mv needs the preconditioner's mean_weight")
     out = diff.gram_matvec(v, row_weights, mean_weight, out=out, rows=rows)
@@ -529,16 +513,15 @@ def dense_gram(blur: BlurOperator, diff: DiffOperator):
 
 def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
                            lam_over_nu: float, mean_weight: float, *,
-                           spec: np.ndarray | None = None,
                            out: np.ndarray | None = None):
     """Exact inverse of H'H + (lambda/nu) * w_mean * D'D, applied via FFT.
 
     Freezing the difference weights at their mean makes the operator
     block-circulant, so it diagonalises on the Fourier grid. Used as a
     preconditioner for the true variable-weight system. Every apply
-    transforms through ``spec`` and writes its result into ``out`` when they
-    are given (so each result is overwritten by the next apply), and
-    allocates fresh arrays when they are not.
+    transforms through one spectrum array, made here, and writes its result
+    into ``out`` when given (so each result is overwritten by the next
+    apply), or into a fresh array when not.
     """
     _check_same_lattice(blur, diff)
     # the reciprocal spectrum, formed in place: numpy divides by (c + 0i) as
@@ -549,6 +532,7 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     np.maximum(inv_eig, 1e-300, out=inv_eig)
     np.divide(1.0, inv_eig, out=inv_eig)
     lattice = blur.lattice
+    spec = np.empty(inv_eig.shape, dtype=complex)
 
     def apply(v: np.ndarray) -> np.ndarray:
         return _fourier_apply(lattice, v, inv_eig, out, spec)

@@ -350,6 +350,14 @@ class TestSweepOptions:
                 with pytest.raises(ValueError, match="tol"):
                     run(y, model, options(**bad))
 
+    @pytest.mark.parametrize("bad", [np.inf, 5.0, 1.0, 0.0, -1.0, np.nan])
+    def test_ias_rejects_pcg_tol_outside_unit_interval(self, bad):
+        # a CG tolerance of 1 or more returns the start iterate untouched,
+        # and one of 0 or less can never be met
+        model, _, y = signal_problem(n=16)
+        with pytest.raises(ValueError, match="pcg_tol"):
+            ias_run(y, model, IasOptions(pcg_tol=bad))
+
 
 class TestOneXPass:
     """Every engine reads ||y - Hx||^2 and (Dx)^2 from x_statistics, once
@@ -909,6 +917,28 @@ class TestGramSolve:
         # one transform per iteration, the preconditioner's, and one for
         # the start residual
         assert len(ffts) == sol.iterations + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3, np.inf])
+    def test_bad_weight_raises_before_any_iteration(self, bad, monkeypatch):
+        # the carried applies skip the weight check: the start apply makes
+        # it for the whole solve
+        blur, diff, weights, hty = box_system(12, 20)
+        weights[7] = bad
+        applies = []
+        make = est.circulant_gram_precond
+
+        def counted(*args, **kwargs):
+            apply = make(*args, **kwargs)
+            return lambda v: applies.append(1) or apply(v)
+
+        monkeypatch.setattr(est, "circulant_gram_precond", counted)
+        # the preconditioner is built, from the non-finite mean weight,
+        # before the start apply
+        with pytest.raises(NonFiniteError) as exc, \
+                np.errstate(invalid="ignore"):
+            est._gram_solve(blur, diff, 1.0, weights, hty, 1e-10, hty)
+        assert exc.value.where == "row_weights"
+        assert applies == []
 
 
 class TestTikhonov:

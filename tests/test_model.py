@@ -25,7 +25,6 @@ from tvbayes.model import (
     conditional_params,
     latent_sums,
     log_joint,
-    log_joint_from_sums,
     log_posterior,
     row_weights_from_r,
 )
@@ -219,7 +218,7 @@ class TestLogPosterior:
             dx = model.diff.matvec(state.x)
             penalty = float(np.sum(dx * dx * row_weights_from_r(state.r,
                                                                  model)))
-            got = log_joint(state.nu, state.lam, state.r,
+            got = log_joint(state.nu, state.lam, latent_sums(state.r),
                             float(resid @ resid), penalty, model)
             assert got == log_posterior(state, y, model)
 
@@ -232,14 +231,11 @@ class TestLogPosterior:
         sums = latent_sums(r)
         assert sums == (float(np.sum(np.log(r))), float(np.sum(r)),
                         float(np.sum(1.0 / r)))
-        assert (log_joint_from_sums(state.nu, state.lam, sums, 2.0, 3.0, model)
-                == log_joint(state.nu, state.lam, r, 2.0, 3.0, model))
         for i, where in ((0, "latent exponent"), (2, "latent prior")):
             bad = list(sums)
             bad[i] = math.inf
             with pytest.raises(NonFiniteError) as exc:
-                log_joint_from_sums(state.nu, state.lam, tuple(bad), 2.0, 3.0,
-                                    model)
+                log_joint(state.nu, state.lam, tuple(bad), 2.0, 3.0, model)
             assert exc.value.where == where
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -275,7 +271,8 @@ class TestLogPosterior:
         stats = [1.0, 1.0]
         stats[which] = bad
         with pytest.raises(NonFiniteError) as exc:
-            log_joint(state.nu, state.lam, state.r, *stats, model)
+            log_joint(state.nu, state.lam, latent_sums(state.r), *stats,
+                      model)
         assert exc.value.where == where
 
 
