@@ -187,7 +187,10 @@ def gig_mode_batch(a: float, b: np.ndarray, p: float) -> np.ndarray:
     if a == 0.0:
         return b / (2.0 * (1.0 - p))
     c = p - 1.0
-    return (c + np.sqrt(c * c + a * b)) / a
+    # in one array of b's shape: an IAS r-step can set the run's peak memory
+    mode = a * b
+    np.sqrt(np.add(mode, c * c, out=mode), out=mode)
+    return np.divide(np.add(mode, c, out=mode), a, out=mode)
 
 
 def gig_variance(params: GigParams) -> float:

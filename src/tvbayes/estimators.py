@@ -61,6 +61,7 @@ from .model import (
 from .operators import (
     BlurOperator,
     DiffOperator,
+    check_nonnegative,
     circulant_gram_precond,
     dense_gram,
     weighted_gram_matvec,
@@ -195,8 +196,8 @@ def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
     Each CG iteration makes one FFT round trip, the preconditioner's apply
     of M^{-1} for M = H'H + ratio w_mean D'D. The gram apply takes the M p
     that CG carries and adds ratio D'(W - w_mean I) D p to it, with no
-    transform; only the start residual applies H'H by FFT, and it checks
-    ``weights`` and ``ratio`` for the whole solve.
+    transform; only the start residual applies H'H by FFT. ``weights`` are
+    checked before the preconditioner, which checks ``ratio``, is built.
 
     The solve owns its work arrays, made here and freed on return: one
     N-vector result, shared by the gram apply and the preconditioner (PCG
@@ -204,7 +205,7 @@ def _gram_solve(blur: BlurOperator, diff: DiffOperator, ratio: float,
     gram apply. The preconditioner holds its own spectrum.
     """
     rows, out = np.empty(diff.n_rows), np.empty(blur.size)
-    w_mean = float(np.mean(weights))
+    w_mean = float(np.mean(check_nonnegative(weights, "row_weights")))
     sol = pcg_solve(
         lambda v, mv: weighted_gram_matvec(blur, diff, ratio, weights, v, out,
                                            rows=rows, mv=mv,
@@ -254,6 +255,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
                         opts.pcg_tol, x_prev)
         sq_resid, dx2 = x_statistics(x, y, model)
         penalty = float(np.sum(dx2 * weights))
+        # not read again: the r-step, a peak of the run, makes the next ones
+        del weights
         step_logs = [log_joint(nu, lam, r_sums, sq_resid, penalty, model)]
 
         nu = _gamma_mode(nu_conditional(sq_resid, model), "nu", it)

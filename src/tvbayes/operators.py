@@ -6,23 +6,24 @@ index j*k + i. All operators assume periodic boundary conditions in both
 directions.
 
 The difference operator D stacks a horizontal block (x[i, j+1] - x[i, j])
-over a vertical block (x[i+1, j] - x[i, j]); a block whose lattice
-dimension is 1 would be identically zero and is dropped, so a 1-D signal
-gets the plain circulant first-difference matrix. D's geometry is one
-table with an entry per kept block (see ``DiffOperator``): a block's rows
-are a flat shift of the stacked vector by its stride, with its wrapped rows
-redone. D, D', the CG apply D'(W - w_mean I) D, the row quadratic of VB,
-the D'D eigenvalues and the +1/-1 column indices of the dense paths all
-read it, through one row-forming helper and one scatter helper.
+over a vertical block (x[i+1, j] - x[i, j]); a block along a lattice side
+of 1 would be identically zero and is dropped, so a 1-D signal gets the
+plain circulant first-difference matrix. D's geometry is one stencil table,
+an entry (stride, wrapped rows, their +1 pixels) per kept block (see
+``DiffOperator``), read through one row-forming helper and one scatter
+helper by D, D', the CG apply D'(W - w_mean I) D, the row quadratic of VB
+and the +1/-1 column indices of the dense paths.
 
-The blur H is circulant, so H'H is too: its multiplier on the Fourier grid
-is the real |H^|^2, and H'H v costs one FFT round trip. H, H', H'H and the
-preconditioner apply through ``_fourier_apply``; it and D, D' check their
-vector lengths in ``_check_length``. Inside an IAS CG solve each iteration
-makes one FFT round trip, the preconditioner's: its matrix M = H'H +
-(lambda/nu) w_mean D'D already holds H'H, so ``weighted_gram_matvec`` reads
-H'H v from the M v that CG carries (``solvers.pcg_solve``) and applies only
-the stencils, D'((W - w_mean I) D v) in one pass over the blocks
+H and D'D are circulant, so rfft2 diagonalises both, and each spectrum is
+the rfft2 of its operator's first column, formed when the operator is built:
+H's from the mask wrapped onto the lattice, D'D's from D'D e_0. H'H's
+multiplier is the real |H^|^2, so H'H v costs one FFT round trip. H, H', H'H
+and the preconditioner apply through ``_fourier_apply``; it and D, D' check
+their vector lengths in ``_check_length``. Inside an IAS CG solve each
+iteration makes one FFT round trip, the preconditioner's: its matrix M = H'H
++ (lambda/nu) w_mean D'D already holds H'H, so ``weighted_gram_matvec``
+reads H'H v from the M v that CG carries (``solvers.pcg_solve``) and applies
+only the stencils, D'((W - w_mean I) D v) in one pass over the blocks
 (``DiffOperator.gram_matvec``), each a flat shift of the stacked vector.
 Every function that takes a blur and a difference operator first checks
 that they share a lattice (``_check_same_lattice``).
@@ -65,6 +66,7 @@ __all__ = [
     "weighted_gram_matvec",
     "dense_gram",
     "circulant_gram_precond",
+    "check_nonnegative",
     "validate_rank_condition",
 ]
 
@@ -133,7 +135,7 @@ def _block_rows(op, v: np.ndarray, d: np.ndarray, block: tuple):
     """op(v at the +1 pixel, v at the -1 pixel) of one difference block's
     rows into ``d``: the flat shift of v by the block's stride, then the
     wrapped rows afresh from their +1 pixels."""
-    stride, here, ahead, _, _ = block
+    stride, here, ahead = block
     op(v[stride:], v[:-stride], out=d[:-stride])
     op(v[ahead], v[here], out=d[here])
 
@@ -142,7 +144,7 @@ def _scatter_ahead(out: np.ndarray, d: np.ndarray, block: tuple):
     """Add each of one block's rows ``d`` to its +1 pixel in ``out``: the
     flat shift back by the block's stride adds the wrapped rows to the
     wrong pixels, so those take their sums afresh."""
-    stride, here, ahead, _, _ = block
+    stride, here, ahead = block
     wrapped = out[ahead].copy()
     out[stride:] += d[:-stride]
     np.add(wrapped, d[here], out=out[ahead])
@@ -151,25 +153,24 @@ def _scatter_ahead(out: np.ndarray, d: np.ndarray, block: tuple):
 class DiffOperator:
     """Periodic first-difference operator over a lattice.
 
-    One table holds D's geometry, one entry per kept block: (stride, here,
-    ahead, axis, period). On the stacked vector a block's rows are
+    One table holds D's geometry, one stencil entry per kept block:
+    (stride, here, ahead). On the stacked vector a block's rows are
     v[s + stride] - v[s], stored at s, except its wrapped rows ``here``
     (the last k pixels of the horizontal block, the last of each column in
-    the vertical one), whose +1 pixels ``ahead`` wrap round. ``axis`` is the
-    axis of the k x (n//2+1) rfft2 spectrum the block steps along, and
-    ``period`` the lattice side on it. D, D', the CG apply, the row
-    quadratic of VB, the D'D eigenvalues and the +1/-1 pixel of every row
-    (``pos_idx``/``neg_idx``) all read it.
+    the vertical one), whose +1 pixels ``ahead`` wrap round. D, D', the CG
+    apply, the row quadratic of VB and the +1/-1 pixel of every row
+    (``pos_idx``/``neg_idx``) all read it, and so does D'D's spectrum: the
+    rfft2 of its first column D'D e_0, formed once, here.
     """
 
     def __init__(self, lattice: LatticeSpec):
         self.lattice = lattice
         k, n, N = lattice.k, lattice.n, lattice.size
-        # a block whose period is 1 has identically zero rows: it is dropped
-        kept = [(name, block) for name, block in (
-            ("h", (k, np.s_[N - k:], np.s_[:k], 1, n)),
-            ("v", (1, np.s_[k - 1::k], np.s_[::k], 0, k)))
-            if block[-1] >= 2]
+        # a block along a lattice side of 1 has zero rows: it is dropped
+        kept = [(name, block) for name, side, block in (
+            ("h", n, (k, np.s_[N - k:], np.s_[:k])),
+            ("v", k, (1, np.s_[k - 1::k], np.s_[::k])))
+            if side >= 2]
         self.blocks: tuple[str, ...] = tuple(name for name, _ in kept)
         self._table = tuple(block for _, block in kept)
         pixels = np.arange(N)
@@ -180,6 +181,10 @@ class DiffOperator:
         for d, block in zip(self.pos_idx.reshape(len(kept), N), self._table):
             _block_rows(np.subtract, pixels, d, block)
         self.pos_idx += self.neg_idx
+        # D'D e_0 is symmetric, so its spectrum is real up to round-off
+        self._gram_eig = np.fft.rfft2(lattice.to_grid(
+            self.rmatvec(self.matvec(pixels == 0)))).real.copy()
+        self._gram_eig.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -225,8 +230,8 @@ class DiffOperator:
         in ``rmatvec``, so every pass but the wrapped rows' runs over
         contiguous memory. W - offset is never formed whole (it goes through
         ``out`` before the first scatter and through the first block's spent
-        rows after it). It agrees with ``rmatvec`` of the weighted
-        ``matvec`` to round-off, not bit for bit.
+        rows after it); at offset 0 it is W bit for bit. It agrees with
+        ``rmatvec`` of the weighted ``matvec`` to round-off, not bit for bit.
         """
         N = self.lattice.size
         v = np.asarray(v, dtype=float)
@@ -241,11 +246,7 @@ class DiffOperator:
         weights = np.asarray(row_weights, dtype=float).reshape(self.n_blocks, N)
         for b, (d, block) in enumerate(zip(blocks, self._table)):
             _block_rows(np.subtract, v, d, block)
-            if offset:
-                d *= np.subtract(weights[b], offset,
-                                 out=blocks[0] if b else out)
-            else:
-                d *= weights[b]
+            d *= np.subtract(weights[b], offset, out=blocks[0] if b else out)
             # each row is the -1 entry of its own pixel
             if b:
                 out -= d
@@ -255,19 +256,9 @@ class DiffOperator:
         return out
 
     def gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of D'D on the rfft2 frequency grid.
-
-        Each periodic difference block contributes |1 - e^{2 pi i f}|^2
-        = 2 - 2 cos(2 pi f) along its spectrum axis; D'D is circulant, so
-        these are exact.
-        """
-        shape = (self.lattice.k, self.lattice.n // 2 + 1)
-        out = np.zeros(shape)
-        for *_, axis, period in self._table:
-            f = np.arange(shape[axis]) / period
-            out += np.expand_dims(2.0 - 2.0 * np.cos(2.0 * np.pi * f),
-                                  1 - axis)
-        return out
+        """Eigenvalues of D'D on the k x (n//2+1) rfft2 frequency grid: the
+        rfft2 of its first column, formed at construction and read-only."""
+        return self._gram_eig
 
     def weighted_gram_dense(self, row_weights: np.ndarray) -> np.ndarray:
         """Dense D' W D (N x N), capacity gated."""
@@ -373,10 +364,9 @@ class BlurOperator:
         k, n = self.lattice.k, self.lattice.n
         c = w.shape[0] // 2
         pad = np.zeros((k, n))
-        di, dj = np.meshgrid(np.arange(-c, c + 1), np.arange(-c, c + 1),
-                             indexing="ij")
+        lag = np.arange(-c, c + 1)
         # kernels larger than the lattice alias by periodic wrap
-        np.add.at(pad, (di.ravel() % k, dj.ravel() % n), w.ravel())
+        np.add.at(pad, np.ix_(lag % k, lag % n), w)
         freq = np.fft.rfft2(pad)
         self._adj = freq            # multiplier of convolution with w
         self._fwd = np.conj(freq)   # correlation with w
@@ -413,6 +403,15 @@ class BlurOperator:
         return out
 
 
+def check_nonnegative(value, name: str) -> np.ndarray:
+    """``value`` (array or scalar) as floats, checked finite and >= 0."""
+    value = np.asarray(value, dtype=float)
+    # NaN fails both comparisons, since min and max propagate it
+    if not (value.min() >= 0 and value.max() < np.inf):
+        raise NonFiniteError(f"{name} must be finite and >= 0", where=name)
+    return value
+
+
 def _check_same_lattice(blur: BlurOperator, diff: DiffOperator):
     if blur.lattice != diff.lattice:
         b, d = blur.lattice, diff.lattice
@@ -444,14 +443,8 @@ def weighted_gram_matvec(blur: BlurOperator, diff: DiffOperator,
     """
     _check_same_lattice(blur, diff)
     if mv is None:
-        row_weights = np.asarray(row_weights, dtype=float)
-        # NaN fails both comparisons, since min and max propagate it
-        if not (row_weights.min() >= 0 and row_weights.max() < np.inf):
-            raise NonFiniteError("difference row weights must be finite and "
-                                 ">= 0", where="row_weights")
-        if not np.isfinite(lam_over_nu) or lam_over_nu < 0:
-            raise NonFiniteError(f"invalid penalty ratio {lam_over_nu}",
-                                 where="lam_over_nu")
+        row_weights = check_nonnegative(row_weights, "row_weights")
+        check_nonnegative(lam_over_nu, "lam_over_nu")
         mv, mean_weight = blur.gram_matvec(v), 0.0
     elif mean_weight is None:
         raise ValueError("a carried mv needs the preconditioner's mean_weight")
@@ -488,7 +481,7 @@ def dense_gram(blur: BlurOperator, diff: DiffOperator):
     # lags wrap onto the lattice as the mask does in BlurOperator
     lag = np.arange(1 - size, size)
     lags = np.zeros((k, n))
-    np.add.at(lags, ((lag % k)[:, None], (lag % n)[None, :]), auto)
+    np.add.at(lags, np.ix_(lag % k, lag % n), auto)
     # the wrapped sums of a lag and of its negative run in opposite orders:
     # average them, so H'H comes out exactly symmetric
     lags += np.roll(lags[::-1, ::-1], 1, axis=(0, 1))
@@ -521,9 +514,12 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
     preconditioner for the true variable-weight system. Every apply
     transforms through one spectrum array, made here, and writes its result
     into ``out`` when given (so each result is overwritten by the next
-    apply), or into a fresh array when not.
+    apply), or into a fresh array when not. ``lam_over_nu`` and
+    ``mean_weight`` must be finite and >= 0.
     """
     _check_same_lattice(blur, diff)
+    check_nonnegative(lam_over_nu, "lam_over_nu")
+    check_nonnegative(mean_weight, "mean_weight")
     # the reciprocal spectrum, formed in place: numpy divides by (c + 0i) as
     # a multiply by 1/c, so each apply's multiply by it equals the division
     # by the spectrum bit for bit
@@ -542,6 +538,6 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
 
 def validate_rank_condition(blur: BlurOperator, diff: DiffOperator) -> bool:
     """Nul(D) cap Nul(H) = {0} for periodic D (nullspace = constants):
-    passes iff H applied to the constant image is nonzero."""
-    ones = np.ones(blur.size)
-    return float(np.linalg.norm(blur.matvec(ones))) > 1e-10 * np.sqrt(blur.size)
+    passes iff H 1 = H^(0) 1 is nonzero, read from H's zero-frequency
+    multiplier (the rfft2 of its first column at 0) with no apply."""
+    return bool(abs(blur._adj[0, 0]) > 1e-10)

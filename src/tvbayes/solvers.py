@@ -194,12 +194,9 @@ class SpdFactor:
         """Draw from N(mean, A^{-1}) where A = L L' is the factored matrix."""
         # dpotrf succeeded, so the factor is finite: the scan that
         # check_finite makes of it (an N x N mask per draw) is skipped
-        factor = self._live()
-        if size is None:
-            z = rng.standard_normal(self.n)
-            return mean + solve_triangular(factor, z, lower=True, trans="T",
-                                           check_finite=False)
-        z = rng.standard_normal((self.n, size))
-        draws = solve_triangular(factor, z, lower=True, trans="T",
+        z = rng.standard_normal(self.n if size is None else (self.n, size))
+        draws = solve_triangular(self._live(), z, lower=True, trans="T",
                                  check_finite=False)
-        return mean[:, None] + draws
+        # mean + each column of the (n, size) draws; draws.T is one draw
+        np.add(mean, draws.T, out=draws.T)
+        return draws

@@ -223,6 +223,24 @@ class TestDiffOperator:
         got = lat.to_stacked(np.fft.irfft2(spec, s=(k, n)))
         np.testing.assert_allclose(got, dm.T @ dm @ x, atol=1e-12)
 
+    @pytest.mark.parametrize("k,n", [(1, 100), (1, 2), (5, 1), (2, 3),
+                                     (3, 4), (42, 42), (200, 200)])
+    def test_gram_eigenvalues_closed_form(self, k, n):
+        # each kept block adds |1 - e^{2 pi i f}|^2 = 2 - 2 cos(2 pi f)
+        # along the rfft2 axis it steps on, f = frequency / lattice side
+        d = DiffOperator(LatticeSpec(k, n))
+        fi = np.arange(k)[:, None] / k
+        fj = np.arange(n // 2 + 1)[None, :] / n
+        want = ((2.0 - 2.0 * np.cos(2.0 * np.pi * fi)) * (k >= 2)
+                + (2.0 - 2.0 * np.cos(2.0 * np.pi * fj)) * (n >= 2))
+        eig = d.gram_eigenvalues()
+        assert eig.shape == (k, n // 2 + 1)
+        np.testing.assert_allclose(eig, want, rtol=0, atol=1e-13)
+        # formed once, at construction, and shared read-only
+        assert eig is d.gram_eigenvalues()
+        with pytest.raises(ValueError, match="read-only"):
+            eig[0, 0] = 1.0
+
     def test_weighted_gram_dense(self):
         d = DiffOperator(LatticeSpec(3, 4))
         rng = np.random.default_rng(3)
@@ -517,6 +535,15 @@ class TestWeightedGram:
         with pytest.raises(ValueError, match="mean_weight"):
             weighted_gram_matvec(h, d, 0.37, w, v, mv=mv)
 
+    @pytest.mark.parametrize("name", ["lam_over_nu", "mean_weight"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    def test_precond_rejects_bad_scalars(self, name, bad):
+        h, d, lat = self._ops()
+        args = {"lam_over_nu": 0.37, "mean_weight": 1.3, name: bad}
+        with pytest.raises(NonFiniteError, match=name) as exc:
+            circulant_gram_precond(h, d, **args)
+        assert exc.value.where == name
+
     def test_rejects_bad_weights(self):
         h, d, lat = self._ops()
         with pytest.raises(NonFiniteError):
@@ -530,6 +557,21 @@ class TestWeightedGram:
             weighted_gram_matvec(h, d, np.inf, np.ones(32), np.ones(16))
 
 
+def zero_sum_blur(lat):
+    """A blur whose mask sums to 0, so it annihilates constants; it bypasses
+    the sum-1 validation."""
+    h = BlurOperator(gaussian_kernel(3, 1.0), lat)
+    lap = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
+    h.kernel = lap
+    pad = np.zeros((lat.k, lat.n))
+    for du in range(-1, 2):
+        for dv in range(-1, 2):
+            pad[du % lat.k, dv % lat.n] += lap[du + 1, dv + 1]
+    freq = np.fft.rfft2(pad)
+    h._adj, h._fwd = freq, np.conj(freq)
+    return h
+
+
 class TestRankCondition:
     def test_gaussian_kernel_passes(self):
         lat = LatticeSpec(4, 4)
@@ -537,15 +579,21 @@ class TestRankCondition:
         assert validate_rank_condition(h, DiffOperator(lat))
 
     def test_zero_sum_kernel_fails(self):
-        # a zero-sum mask annihilates constants; bypass the sum-1 validation
         lat = LatticeSpec(4, 4)
-        h = BlurOperator(gaussian_kernel(3, 1.0), lat)
-        lap = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
-        h.kernel = lap
-        pad = np.zeros((4, 4))
-        for du in range(-1, 2):
-            for dv in range(-1, 2):
-                pad[du % 4, dv % 4] += lap[du + 1, dv + 1]
-        freq = np.fft.rfft2(pad)
-        h._adj, h._fwd = freq, np.conj(freq)
-        assert not validate_rank_condition(h, DiffOperator(lat))
+        assert not validate_rank_condition(zero_sum_blur(lat),
+                                           DiffOperator(lat))
+
+    def test_reads_the_zero_frequency_multiplier(self, monkeypatch):
+        # both verdicts with no transform and no blur apply
+        lat = LatticeSpec(4, 4)
+        good = BlurOperator(gaussian_kernel(3, 1.0), lat)
+        bad, d = zero_sum_blur(lat), DiffOperator(lat)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rank check applied an operator")
+
+        monkeypatch.setattr(np.fft, "rfft2", forbidden)
+        monkeypatch.setattr(np.fft, "irfft", forbidden)
+        monkeypatch.setattr(BlurOperator, "matvec", forbidden)
+        assert validate_rank_condition(good, d)
+        assert not validate_rank_condition(bad, d)
