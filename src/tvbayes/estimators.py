@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 LAMBDA_BOUNDS = (1e-12, 1e12)
+_FORCING_GATE, _FORCING = 1e-3, 0.1  # IAS forcing term, see ias_run
 
 
 def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
@@ -227,6 +228,13 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     sub-steps (``substep_logposts``) with ``log_joint``, from the one
     ``x_statistics`` call of the sweep and the latent sums of the newest r;
     none may lower it.
+
+    Each x-system is solved by CG from the last x to ``pcg_tol`` until the
+    relative x change drops below ``_FORCING_GATE`` = 1e-3; the next solves
+    then run to max(pcg_tol, ``_FORCING`` * that change), ``_FORCING`` = 0.1
+    (a forcing term). Once a loose sweep's change is below ``tol`` every
+    sweep is solved to ``pcg_tol``, and the run converges only on such a
+    tight sweep with a change below ``tol``.
     """
     opts = opts or IasOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -243,16 +251,17 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     weights = row_weights_from_r(r, model)
     r_sums = latent_sums(r)
     trace, substeps = [], []
-    converged = False
-    iterations = 0
+    iterations, rel, tail = 0, math.inf, False
     for it in range(1, opts.maxit + 1):
         iterations = it
-        # until the r-step only its latent sums are read, so the CG solve,
-        # where the run's peak memory is, runs without r
+        cg_tol = (opts.pcg_tol if tail or rel >= _FORCING_GATE
+                  else max(opts.pcg_tol, _FORCING * rel))
+        # until the r-step only its latent sums are read, so the CG solve
+        # runs without r
         r = None
         x_prev = x
         x = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
-                        opts.pcg_tol, x_prev)
+                        cg_tol, x_prev)
         sq_resid, dx2 = x_statistics(x, y, model)
         penalty = float(np.sum(dx2 * weights))
         # not read again: the r-step, a peak of the run, makes the next ones
@@ -273,16 +282,17 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         r_sums = latent_sums(r)
         logpost = log_joint(nu, lam, r_sums, sq_resid,
                             float(np.sum(dx2 * weights)), model)
-        # freed before the next sweep's CG solve, where the run's peak
-        # memory is
+        # freed before the next sweep makes its own: the r-step's
+        # temporaries, not the CG solve, set the run's peak memory
         del dx2
         substeps.append(step_logs + [logpost])
         rel = float(np.linalg.norm(x - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
         trace.append((logpost, rel, nu, lam))
-        if rel < opts.tol:
-            converged = True
+        converged = rel < opts.tol and cg_tol == opts.pcg_tol
+        if converged:
             break
+        tail = tail or rel < opts.tol
 
     return IasState(
         x=x, nu=nu, lam=lam, r=r, iterations=iterations, converged=converged,

@@ -308,7 +308,10 @@ def _fourier_apply(lattice: LatticeSpec, x: np.ndarray, mult: np.ndarray,
     _check_length(x, lattice.size, "stacked vector")
     grid = lattice.to_grid(x)
     spec = np.fft.rfft2(grid, out=spec)
-    np.multiply(spec, mult, out=spec)
+    # a real multiplier scales the real and imaginary parts in place: numpy
+    # would cast it to complex in chunks for a complex multiply
+    for part in (spec,) if np.iscomplexobj(mult) else (spec.real, spec.imag):
+        np.multiply(part, mult, out=part)
     if out is None:
         out = np.empty(lattice.size)
     # irfft2's two passes, bit for bit: numpy 2.4's irfft2 hands out=None on

@@ -280,6 +280,71 @@ class TestIasRuns:
         assert exc.value.mode == "blank_image"
 
 
+class TestForcingTerm:
+    """Each IAS x-step is solved to ``pcg_tol`` until the x change drops
+    below the gate, then to 0.1 x the last change; a converged run ends on
+    a tight sweep."""
+
+    @pytest.fixture
+    def tolerances(self, monkeypatch):
+        tols = []
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return pcg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(est, "pcg_solve", recorded)
+        return tols
+
+    @pytest.mark.parametrize("problem", [
+        lambda: signal_problem(n=100, bsnr=30.0, seed=7),  # criterion 7
+        lambda: image_problem(hyper=STABLE_HYPER),
+    ], ids=["blocky", "8x8"])
+    def test_loose_only_after_a_small_change(self, problem, tolerances):
+        model, _, y = problem()
+        opts = IasOptions()
+        res = ias_run(y, model, opts)
+        assert res.converged
+        tols = np.array(tolerances)
+        assert len(tols) == res.iterations
+        assert np.all((tols >= opts.pcg_tol) & (tols <= 1e-4))
+        loose = tols > opts.pcg_tol
+        # the gate opens on both problems
+        assert loose.any() and not loose[0]
+        # sweep i's tolerance follows sweep i - 1's change
+        prev_rel = res.trace[:-1, 1]
+        assert np.all(prev_rel[loose[1:]] < 1e-3)
+        np.testing.assert_array_equal(tols[1:][loose[1:]],
+                                      0.1 * prev_rel[loose[1:]])
+        assert tols[-1] == opts.pcg_tol
+
+    def test_collapse_never_opens_the_gate(self, tolerances, monkeypatch):
+        # test_ascent_holds_while_diverging's problem: its x change stays
+        # above the gate up to the divergence
+        model, _, y = image_problem(prior=LaplaceTV())
+        opts = IasOptions(pcg_tol=1e-12, maxit=3)
+        res = ias_run(y, model, opts)
+        with pytest.raises(DivergenceError):
+            ias_run(y, model)
+        assert tolerances[:3] == [1e-12] * 3
+        assert set(tolerances[3:]) == {IasOptions().pcg_tol}
+        monkeypatch.setattr(est, "_FORCING_GATE", 0.0)
+        closed = ias_run(y, model, opts)
+        for name in ("x", "trace", "substep_logposts"):
+            assert np.array_equal(getattr(res, name), getattr(closed, name))
+
+    def test_loose_sweep_below_tol_runs_on_tight(self, tolerances):
+        # criterion 7's problem: a loose solve that its start x already meets
+        # leaves x unchanged (change 0 < tol), and the run goes on tight
+        model, _, y = signal_problem(n=100, bsnr=30.0, seed=7)
+        opts = IasOptions()
+        res = ias_run(y, model, opts)
+        stalled = np.flatnonzero(res.trace[:, 1] < opts.tol)
+        assert stalled[0] < res.iterations - 1
+        assert tolerances[stalled[0]] > opts.pcg_tol
+        assert set(tolerances[stalled[0] + 1:]) == {opts.pcg_tol}
+
+
 @pytest.mark.parametrize("lam, mode", [(1e13, "blank_image"),
                                        (1e-13, "no_op")],
                          ids=["lam_1e13", "lam_1e-13"])
