@@ -4,7 +4,8 @@
   mode of its full conditional in turn (x by a preconditioned CG solve, nu
   and lambda by closed gamma modes, the latent scales by the GIG mode).
 * :func:`vb_run` - mean-field approximation q(x) q(nu) q(lambda) prod q(r),
-  cycled to a fixed point; dense, so capacity gated. The result keeps diag
+  cycled to a fixed point, which SQUAREM extrapolation reaches in fewer
+  sweeps; dense, so capacity gated. The result keeps diag
   Cov(x); ``VbState.x_cov`` inverts the last sweep's precision (dpotri) on
   each read.
 * :func:`gibbs_run` - systematic-scan sampler over the same conditionals,
@@ -24,8 +25,9 @@ and after every lambda update: outside ``LAMBDA_BOUNDS`` they raise
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -42,6 +44,7 @@ from .errors import (
     DivergenceError,
     MomentDivergesError,
     NonFiniteError,
+    TvBayesError,
 )
 from .model import (
     GammaParams,
@@ -366,6 +369,40 @@ class VbState:
         return cov
 
 
+def _log_point(nu: float, lam: float, e_inv_r: np.ndarray) -> np.ndarray:
+    """theta = (log nu, log lambda, log E(1/r)), the coordinates SQUAREM
+    extrapolates in."""
+    return np.concatenate(([math.log(nu), math.log(lam)], np.log(e_inv_r)))
+
+
+def _squarem_point(cycle: list[np.ndarray], step_max: float,
+                   kept: tuple) -> tuple[tuple | None, float]:
+    """SQUAREM-S3 from theta0 and two plain sweeps' outputs theta1, theta2.
+
+    The step alpha = -||r|| / ||v||, r = theta1 - theta0 and v = theta2 -
+    2 theta1 + theta0, is clamped to [-step_max, -1], and ``step_max`` is
+    multiplied by 4 each time the clamp binds. Returns the point theta0 -
+    2 alpha r + alpha^2 v as (nu, lambda, E(1/r)), and the new
+    ``step_max``. The point is ``kept``, theta2's own point, when alpha =
+    -1, and None when it is not positive finite.
+    """
+    t0, t1, t2 = cycle
+    r = t1 - t0
+    v = t2 - t1 - r
+    rr, vv = float(r @ r), float(v @ v)
+    alpha = -math.sqrt(rr / vv) if vv > 0 else -math.inf
+    alpha = max(-step_max, min(-1.0, alpha))
+    if alpha == -step_max:
+        step_max *= 4.0
+    if alpha == -1.0:
+        return kept, step_max
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = np.exp(t0 - 2.0 * alpha * r + alpha * alpha * v)
+    if not (np.all(np.isfinite(point)) and np.all(point > 0)):
+        return None, step_max
+    return (float(point[0]), float(point[1]), point[2:]), step_max
+
+
 def vb_run(y: np.ndarray, model: ModelSpec,
            opts: VbOptions | None = None) -> VbState:
     """Mean-field factor iteration to a fixed point.
@@ -379,6 +416,21 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     it), and H'H is read from its lag table, so one N x N array is live at
     a time. The result keeps diag Cov(x) and the last sweep's x-system, not
     an N x N array: ``VbState.x_cov`` forms the covariance when it is read.
+
+    A sweep is the VB map on theta = (log nu, log lambda, log E(1/r)), and
+    SQUAREM-S3 (Varadhan & Roland, Scand. J. Stat. 2008) drives it in
+    cycles of three sweeps: two plain ones from theta0, then one at the
+    point extrapolated from their outputs (see :func:`_squarem_point`),
+    whose output is the next cycle's theta0. When that point is not
+    positive finite the sweep is not run, and when its sweep raises a
+    :class:`TvBayesError` or meets a float overflow, invalid value or
+    division by zero its result is thrown away; either way the run goes on
+    from the second plain sweep's output. A typed error in any other sweep
+    propagates. ``iterations`` and ``trace`` count every sweep run,
+    one row each; a thrown-away sweep's row repeats the kept nu and lambda
+    with an x change of 0. ``converged`` is set on a plain sweep, one whose
+    input is the previous sweep's output, with a relative x change below
+    ``tol``.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -388,29 +440,19 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     y, init, hty = _start(y, model, opts.init)
     a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
-    nu_mean, lam_mean = init.nu, init.lam
-    e_inv_r = 1.0 / init.r
-    x_mean = init.x
-    trace = []
-    iterations = 0
-    for it in range(1, opts.maxit + 1):
-        iterations = it
-        x_prev = x_mean
+    def sweep(nu_mean: float, lam_mean: float, e_inv_r: np.ndarray,
+              it: int) -> VbState:
+        """The VB map: every factor updated once from the input means, as
+        a run that ends with sweep ``it``."""
         weights = 0.5 * model.latents_to_rows(e_inv_r)
-        ratio, nu_built = lam_mean / nu_mean, nu_mean
+        ratio = lam_mean / nu_mean
         factor = SpdFactor(x_precision(ratio, weights), overwrite=True)
         x_mean = factor.solve(hty)
-        rel = float(np.linalg.norm(x_mean - x_prev)
-                    / max(np.linalg.norm(x_prev), 1e-300))
-        converged = rel < opts.tol
-
         sq_resid, dx2 = x_statistics(x_mean, y, model)
-        g = factor.inverse_factor()
-        row_var, x_var = model.diff.factor_row_quadratic(g)
-        # freed before the next sweep's precision is built
-        del g
-        row_var /= nu_built
-        x_var /= nu_built
+        row_var, x_var = model.diff.factor_row_quadratic(
+            factor.inverse_factor())
+        row_var /= nu_mean
+        x_var /= nu_mean
         e_dx2 = dx2 + row_var
 
         # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
@@ -418,31 +460,68 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         # = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii) / nu
         tr_hhs = (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean
         nu_cond = nu_conditional(sq_resid + tr_hhs, model)
-        nu_mean = nu_cond.mean
-
+        if not (nu_cond.rate > 0 and 0 < nu_cond.mean < math.inf):
+            raise NonFiniteError(
+                f"nu factor rate {nu_cond.rate} is not positive finite",
+                where="nu", iteration=it)
         lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
-        lam_mean = lam_cond.mean
-        _check_lambda(lam_mean, it)
+        _check_lambda(lam_cond.mean, it)
 
-        r_b = r_conditional_b(e_dx2, lam_mean, model)
+        r_b = r_conditional_b(e_dx2, lam_cond.mean, model)
         e_inv_r = gig_inv_moment_batch(a, r_b, p_cond)
         if not np.all(np.isfinite(e_inv_r)) or np.any(e_inv_r <= 0):
             raise NonFiniteError("latent-scale inverse moments are not "
                                  "positive finite", where="e_inv_r",
                                  iteration=it)
+        return VbState(
+            x_mean=x_mean, x_var=x_var,
+            nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
+            lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
+            r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r, e_dx2=e_dx2,
+            iterations=it, converged=False,
+            x_precision=partial(x_precision, ratio, weights), x_nu=nu_mean)
 
-        trace.append((rel, nu_mean, lam_mean))
+    point = (init.nu, init.lam, 1.0 / init.r)
+    x_prev = init.x
+    # theta at the input of this cycle's first plain sweep, then at each
+    # plain sweep's output
+    cycle = [_log_point(*point)]
+    step_max, trace, converged = 1.0, [], False
+    while len(trace) < opts.maxit:
+        it = len(trace) + 1
+        # the last sweep's output, which the run goes on from
+        kept, extrapolated = point, len(cycle) == 3
+        if extrapolated:
+            point, step_max = _squarem_point(cycle, step_max, kept)
+            cycle = cycle[2:]
+            if point is None:
+                point = kept
+                continue
+        # an extrapolated sweep's float overflow raises, to be thrown away
+        guard = (np.errstate(over="raise", invalid="raise", divide="raise")
+                 if extrapolated else contextlib.nullcontext())
+        try:
+            with guard:
+                out = sweep(*point, it)
+        except (TvBayesError, FloatingPointError):
+            if not extrapolated:
+                raise
+            trace.append((0.0, *kept[:2]))
+            point = kept
+            continue
+        rel = float(np.linalg.norm(out.x_mean - x_prev)
+                    / max(np.linalg.norm(x_prev), 1e-300))
+        converged = point is kept and rel < opts.tol
+        last, x_prev = out, out.x_mean
+        point = out.nu_mean, out.lam_mean, out.e_inv_r
+        trace.append((rel, *point[:2]))
         if converged:
             break
+        theta = _log_point(*point)
+        cycle = [theta] if extrapolated else cycle + [theta]
 
-    return VbState(
-        x_mean=x_mean, x_var=x_var,
-        nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
-        lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
-        r_a=a, r_b=r_b, r_p=p_cond,
-        e_inv_r=e_inv_r, e_dx2=e_dx2, iterations=iterations,
-        converged=converged, x_precision=partial(x_precision, ratio, weights),
-        x_nu=nu_built, trace=np.asarray(trace))
+    return replace(last, iterations=len(trace), converged=converged,
+                   trace=np.asarray(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from tvbayes.errors import (
     CapacityError,
     DivergenceError,
     NonFiniteError,
+    NotSpdError,
     PcgError,
 )
 from tvbayes.estimators import (
@@ -26,6 +27,7 @@ from tvbayes.estimators import (
 )
 from tvbayes.harness import add_noise_bsnr, make_image_2d, make_signal_1d
 from tvbayes.model import (
+    GammaParams,
     HyperParams,
     Laplace2D,
     LaplaceTV,
@@ -758,6 +760,174 @@ class TestVb:
         mc_rate = 0.5 * rdx2
         # inverse-scale draws dominate the error budget here
         assert mc_rate == pytest.approx(res.lam_rate, rel=0.02)
+
+
+def vb_next_start(res):
+    """The start state of the VB map's next sweep after ``res``."""
+    return LatentState(res.x_mean, res.nu_mean, res.lam_mean,
+                       1.0 / res.e_inv_r)
+
+
+def vb_plain_map(y, model, tol, maxit=1000):
+    """The VB map without acceleration, as one-sweep ``vb_run`` calls each
+    started from the last one's factors, until the relative x change drops
+    below ``tol``; returns the last result and the number of sweeps."""
+    res = vb_run(y, model, VbOptions(maxit=1))
+    for sweeps in range(1, maxit + 1):
+        if res.trace[0, 0] < tol:
+            return res, sweeps
+        res = vb_run(y, model, VbOptions(maxit=1, init=vb_next_start(res)))
+    raise AssertionError(f"the plain VB map did not reach {tol}")
+
+
+def vb_gap(res, oracle):
+    """Worst relative difference of x, nu and lambda means."""
+    return max(np.linalg.norm(res.x_mean - oracle.x_mean)
+               / np.linalg.norm(oracle.x_mean),
+               abs(res.nu_mean / oracle.nu_mean - 1.0),
+               abs(res.lam_mean / oracle.lam_mean - 1.0))
+
+
+class TestVbAcceleration:
+    """vb_run drives the VB map with SQUAREM-S3: the same fixed point as
+    the plain map, in fewer sweeps, with every sweep counted and a failed
+    extrapolation thrown away."""
+
+    PROBLEMS = {
+        # criterion 8's 1-D problem
+        "laplace_blocky32": lambda: signal_problem(n=32, seed=8,
+                                                   kernel=(5, 1.25)),
+        "laplace2d_8x8": lambda: image_problem(k=8, prior=Laplace2D(),
+                                               hyper=STABLE_HYPER),
+    }
+    TOL = 1e-10
+
+    @pytest.fixture(params=sorted(PROBLEMS))
+    def problem(self, request):
+        model, _, y = self.PROBLEMS[request.param]()
+        oracle, sweeps = vb_plain_map(y, model, self.TOL)
+        return model, y, oracle, sweeps
+
+    def run(self, problem):
+        model, y, _, _ = problem
+        return vb_run(y, model, VbOptions(tol=self.TOL, maxit=500))
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """Counts the x-system factorisations; ``fail_at`` names the one
+        that raises NotSpdError instead."""
+        calls = {"count": 0, "fail_at": None}
+
+        def factor(*args, _cls=est.SpdFactor, **kwargs):
+            calls["count"] += 1
+            if calls["count"] == calls["fail_at"]:
+                raise NotSpdError("injected failure")
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(est, "SpdFactor", factor)
+        return calls
+
+    def test_fixed_point_of_the_plain_map(self, problem, factors):
+        res = self.run(problem)
+        assert res.converged
+        assert res.iterations < problem[3]
+        assert len(res.trace) == res.iterations == factors["count"]
+        assert vb_gap(res, problem[2]) <= 1e-7
+
+    def test_failed_extrapolated_sweep_is_thrown_away(self, problem,
+                                                      factors):
+        # sweep 3 is the first cycle's extrapolated sweep
+        factors["fail_at"] = 3
+        res = self.run(problem)
+        assert res.converged
+        assert vb_gap(res, problem[2]) <= 1e-7
+        assert len(res.trace) == res.iterations == factors["count"]
+        # its row keeps the second sweep's nu and lambda, and x unmoved
+        np.testing.assert_array_equal(res.trace[2], [0.0, *res.trace[1, 1:]])
+
+    def test_plain_sweep_error_propagates(self, factors):
+        model, _, y = self.PROBLEMS["laplace_blocky32"]()
+        factors["fail_at"] = 2
+        with pytest.raises(NotSpdError):
+            vb_run(y, model)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_nu_factor_must_be_positive_finite(self, monkeypatch, rate):
+        # a sweep whose nu factor has no positive finite mean raises, and
+        # from the first sweep, a plain one, the error propagates
+        model, _, y = self.PROBLEMS["laplace_blocky32"]()
+
+        def nu_factor(*args, _fn=est.nu_conditional):
+            return GammaParams(_fn(*args).shape, rate)
+
+        monkeypatch.setattr(est, "nu_conditional", nu_factor)
+        with pytest.raises(NonFiniteError) as exc:
+            vb_run(y, model)
+        assert (exc.value.where, exc.value.iteration) == ("nu", 1)
+
+    @pytest.mark.parametrize("extreme", ["overflow", "float_error"])
+    def test_extreme_extrapolation(self, problem, factors, monkeypatch,
+                                   extreme):
+        # the second cycle's extrapolation (the first with step_max > 1)
+        # either leaves the float range, log lambda' > 700, and its sweep
+        # is not run, or lands at nu' = 1e-300, lambda' = 1e300, where the
+        # sweep's lambda/nu overflows and is thrown away; neither may warn
+        import warnings
+        seen = []
+
+        def extrapolate(cycle, step_max, kept, _fn=est._squarem_point):
+            seen.append(len(seen) + 1)
+            if len(seen) != 2:
+                return _fn(cycle, step_max, kept)
+            if extreme == "float_error":
+                _, step_max = _fn(cycle, step_max, kept)
+                return (1e-300, 1e300, kept[2]), step_max
+            t0, t1, t2 = (t.copy() for t in cycle)
+            t1[1] += 400.0
+            t2[1] += 800.0
+            point, step_max = _fn([t0, t1, t2], step_max, kept)
+            assert point is None
+            return point, step_max
+
+        monkeypatch.setattr(est, "_squarem_point", extrapolate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = self.run(problem)
+        assert len(seen) >= 2
+        assert res.converged
+        assert vb_gap(res, problem[2]) <= 1e-7
+        # sweeps 1-5 ran; the sixth row is a thrown-away sweep, stopped
+        # before its factorisation, or, when no sweep was run, the next
+        # plain one
+        thrown = extreme == "float_error"
+        assert len(res.trace) == res.iterations == factors["count"] + thrown
+        assert (res.trace[5, 0] == 0.0) == thrown
+
+    def test_student_lambda_drift_is_followed(self):
+        # ROADMAP item 2's defect under VB: with the improper lambda prior,
+        # StudentTV(2) on a piecewise-constant image multiplies lambda by
+        # about 1.37 every plain sweep once x has settled; the plain map's
+        # relative x change then falls below 1e-6 while lambda still
+        # grows. The accelerated run follows the same drift further.
+        lattice = LatticeSpec(32, 32)
+        model = ModelSpec.build(lattice, gaussian_kernel(5, 1.25),
+                                prior=StudentTV(2.0))
+        truth = lattice.to_stacked(make_image_2d("blocks42", 32))
+        y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0,
+                              np.random.default_rng(3))
+        res, settled = vb_run(y, model, VbOptions(maxit=1)), 0
+        for sweeps in range(2, 41):
+            nxt = vb_run(y, model, VbOptions(maxit=1,
+                                             init=vb_next_start(res)))
+            if nxt.trace[0, 0] < 1e-3:
+                assert nxt.lam_mean >= 1.3 * res.lam_mean
+                settled += 1
+            res = nxt
+            if settled == 8:
+                break
+        assert settled == 8
+        fast = vb_run(y, model, VbOptions(maxit=sweeps))
+        assert fast.lam_mean > 10 * res.lam_mean
 
 
 class TestGibbs:
