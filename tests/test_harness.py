@@ -235,6 +235,81 @@ class TestPgm:
         assert exc.value.offset == 13
 
 
+# read_pgm on one table of inputs: each expects either the FileFormatError
+# (message, byte offset) it raises or the raster as (integer rows, maxval)
+_PGM_TABLE = {
+    "empty": (b"", ("unexpected end of file, expected magic number", 0)),
+    "width_missing": (b"P2\n", ("unexpected end of file, expected width", 3)),
+    "height_missing": (b"P2\n2\n",
+                       ("unexpected end of file, expected height", 5)),
+    "maxval_missing": (b"P2 2 2", ("unexpected end of file, expected maxval",
+                                   6)),
+    "width_non_numeric": (b"P2\nx 2\n255\n", ("invalid width b'x'", 3)),
+    "height_non_numeric": (b"P2\n2 2.0\n255\n", ("invalid height b'2.0'", 5)),
+    "maxval_non_numeric": (b"P2\n2 2\nff\n", ("invalid maxval b'ff'", 7)),
+    "width_zero": (b"P2\n0 2\n255\n", ("width 0 out of range 1..65535", 3)),
+    "height_zero": (b"P2\n2 0\n255\n", ("height 0 out of range 1..65535", 5)),
+    "maxval_zero": (b"P5\n2 2\n0\n", ("maxval 0 out of range 1..65535", 7)),
+    "width_over": (b"P2\n65536 2\n255\n",
+                   ("width 65536 out of range 1..65535", 3)),
+    "height_over": (b"P2\n2 65536\n255\n",
+                    ("height 65536 out of range 1..65535", 5)),
+    "maxval_over": (b"P2\n2 2\n65536\n",
+                    ("maxval 65536 out of range 1..65535", 7)),
+    "p5_maxval_256": (b"P5\n1 1\n256\n\x00",
+                      ("P5 maxval 256 > 255 not supported", 10)),
+    "pixel_non_numeric": (b"P2\n2 1\n255\n7 x7\n",
+                          ("invalid pixel value b'x7'", 13)),
+    "pixel_negative": (b"P2\n2 1\n255\n7 -1\n",
+                       ("pixel value -1 exceeds maxval 255", 13)),
+    "pixel_missing": (b"P2\n2 2\n255\n1 2 3\n",
+                      ("unexpected end of file, expected pixel value", 17)),
+    "pixel_over": (b"P2\n2 1\n100\n50 101\n",
+                   ("pixel value 101 exceeds maxval 100", 14)),
+    "header_comments": (b"P2#a\n# b\n2 #c\n1 # d\n9\n1 2\n", ([[1, 2]], 9)),
+    "mid_token_comment": (b"P2\n2#c\n2\n4\n0 1 2 3\n", ([[0, 1], [2, 3]], 4)),
+    "raster_comment": (b"P2\n2 2\n4\n0 1 # 9 9\n2 3\n", ([[0, 1], [2, 3]], 4)),
+    "cr": (b"P2\r2 1\r4\r1\r2\r", ([[1, 2]], 4)),
+    "crlf": (b"P2\r\n2 1\r\n4\r\n1 2\r\n", ([[1, 2]], 4)),
+    "tab": (b"P2\t2\t1\t4\t1\t2", ([[1, 2]], 4)),
+    "vt": (b"P2\x0b2\x0b1\x0b4\x0b1\x0b2", ([[1, 2]], 4)),
+    "ff": (b"P2\x0c2\x0c1\x0c4\x0c1\x0c2", ([[1, 2]], 4)),
+    # not whitespace to bytes.isspace(), so part of a token
+    "nbsp_not_space": (b"P2\xa02 1\n4\n1 2\n",
+                       ("not a PGM file (magic b'P2\\xa02')", 0)),
+    "fs_not_space": (b"P2\n2\x1c1\n4\n1 2\n", ("invalid width b'2\\x1c1'", 3)),
+    "p5_short": (b"P5\n2 2\n255\n" + bytes([0, 1, 2]),
+                 ("truncated P5 payload: need 4 bytes, have 3", 14)),
+    "p5_long": (b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3, 4]),
+                ([[0, 1], [2, 3]], 255)),
+    "p5_over": (b"P5\n2 2\n100\n" + bytes([0, 100, 200, 7]),
+                ("pixel value 200 exceeds maxval 100", 13)),
+    # one whitespace byte ends the header; the raster's own whitespace
+    # bytes are pixels
+    "p5_raster_of_whitespace": (b"P5\n2 2\n255\n" + bytes([10, 32, 9, 13]),
+                                ([[10, 32], [9, 13]], 255)),
+    "p5_ends_at_maxval": (b"P5\n2 2\n255",
+                          ("truncated P5 payload: need 4 bytes, have 0", 10)),
+}
+
+
+@pytest.mark.parametrize("data, expected", _PGM_TABLE.values(),
+                         ids=_PGM_TABLE.keys())
+def test_read_pgm_table(tmp_path, data, expected):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(data)
+    if isinstance(expected[0], str):
+        message, offset = expected
+        with pytest.raises(FileFormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+        assert exc.value.offset == offset
+    else:
+        rows, maxval = expected
+        np.testing.assert_array_equal(read_pgm(path),
+                                      np.array(rows, dtype=float) / maxval)
+
+
 class TestCsv:
     def test_signal_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
