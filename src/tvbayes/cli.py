@@ -71,7 +71,7 @@ from .model import (
     ModelSpec,
     StudentTV,
 )
-from .operators import LatticeSpec, gaussian_kernel
+from .operators import BlurOperator, LatticeSpec, gaussian_kernel
 
 SIDECAR_SCHEMA_VERSION = 1
 
@@ -192,8 +192,7 @@ def _cmd_simulate(args) -> int:
         truth = make_signal_1d(args.kind, size)
         lattice = LatticeSpec(1, size)
 
-    model = ModelSpec.build(lattice, kernel)
-    blurred = model.blur.matvec(truth)
+    blurred = BlurOperator(kernel, lattice).matvec(truth)
     noisy, noise_sigma = add_noise_bsnr(blurred, args.bsnr, rng)
 
     outputs = {name: _write_field(args.out_prefix, name, lattice, vec)

@@ -4,6 +4,8 @@ Every failure mode a caller may want to catch has its own class; numerical
 routines never hand back NaN/inf silently. Each kind of input has one check:
 ``LatticeSpec.check_vector`` (data y, state x), ``_fourier_apply`` (operator
 vectors), ``MvLaplaceParams`` (scale matrices), ``read_table_csv`` (CSV).
+Each writer has one too, so no file is written that a reader rejects:
+``write_pgm`` (images) and ``write_table_csv`` (CSV tables and signals).
 """
 
 

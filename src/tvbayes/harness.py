@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, NonFiniteError
 
 __all__ = [
     "make_signal_1d",
@@ -248,11 +249,15 @@ class RunReport:
 def write_pgm(path, img: np.ndarray, binary: bool = True):
     """Write a float image (clipped to [0, 1], quantised to 8 bits).
 
-    ``binary`` selects P5; otherwise ASCII P2 is written.
+    ``binary`` selects P5; otherwise ASCII P2 is written. A non-finite
+    pixel raises NonFiniteError before the file is opened.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError("write_pgm expects a 2-D array")
+    if not np.all(np.isfinite(img)):
+        raise NonFiniteError(f"img has non-finite entries; not writing {path}",
+                             where="img")
     q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     rows, cols = q.shape
     if binary:
@@ -267,66 +272,56 @@ def write_pgm(path, img: np.ndarray, binary: bool = True):
                 fh.write("\n")
 
 
-def _pgm_tokens(data: bytes):
-    """Yield (token, byte_offset) over the header/ASCII sections, skipping
-    whitespace and # comments."""
-    i, n = 0, len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i:i + 1].isspace() and data[i:i + 1] != b"#":
-            i += 1
-        yield data[start:i], start, i
+# A comment (# to the end of its line) or a token. In a bytes pattern \s
+# matches exactly the six bytes that bytes.isspace() accepts.
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a P2 or P5 PGM into a float array in [0, 1].
 
-    Malformed headers, truncated payloads and pixel values above maxval
-    raise :class:`FileFormatError` with the byte offset of the problem.
+    Malformed headers, truncated payloads, pixel values above maxval and a
+    P5 maxval not followed by one whitespace byte raise
+    :class:`FileFormatError` with the byte offset of the problem.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
+    # lazy, so the scan never enters a P5 raster
+    tokens = (m for m in _PGM_TOKEN.finditer(data) if m[1])
 
-    def next_token(expect: str):
-        try:
-            return next(tokens)
-        except StopIteration:
+    def next_token(expect: str) -> re.Match:
+        if (m := next(tokens, None)) is None:
             raise FileFormatError(f"unexpected end of file, expected {expect}",
-                                  offset=len(data)) from None
+                                  offset=len(data))
+        return m
 
-    magic, off, _ = next_token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise FileFormatError(f"not a PGM file (magic {magic!r})", offset=off)
-
-    def next_int(what: str, limit: int) -> tuple[int, int]:
-        tok, off, end = next_token(what)
+    # the next token as an integer in [low, high], and the offset after it
+    def next_int(what: str, low: int, high: int, rule: str):
+        m = next_token(what)
         try:
-            val = int(tok)
+            val = int(m[1])
         except ValueError:
-            raise FileFormatError(f"invalid {what} {tok!r}", offset=off) \
-                from None
-        if not 0 < val <= limit:
-            raise FileFormatError(f"{what} {val} out of range 1..{limit}",
-                                  offset=off)
-        return val, end
+            raise FileFormatError(f"invalid {what} {m[1]!r}",
+                                  offset=m.start()) from None
+        if not low <= val <= high:
+            raise FileFormatError(f"{what} {val} {rule}", offset=m.start())
+        return val, m.end()
 
-    cols, _ = next_int("width", 65535)
-    rows, _ = next_int("height", 65535)
-    maxval, header_end = next_int("maxval", 65535)
-    if magic == b"P5":
+    magic = next_token("magic number")
+    if magic[1] not in (b"P2", b"P5"):
+        raise FileFormatError(f"not a PGM file (magic {magic[1]!r})",
+                              offset=magic.start())
+    (cols, _), (rows, _), (maxval, header_end) = (
+        next_int(what, 1, 65535, "out of range 1..65535")
+        for what in ("width", "height", "maxval"))
+    if magic[1] == b"P5":
         if maxval > 255:
             raise FileFormatError(f"P5 maxval {maxval} > 255 not supported",
                                   offset=header_end)
         # exactly one whitespace byte separates the header from the raster
+        if data[header_end:header_end + 1].strip():
+            raise FileFormatError("no whitespace byte after P5 maxval",
+                                  offset=header_end)
         payload = data[header_end + 1:]
         need = rows * cols
         if len(payload) < need:
@@ -341,19 +336,10 @@ def read_pgm(path) -> np.ndarray:
                 offset=header_end + 1 + int(over[0]))
         return raw.reshape(rows, cols).astype(float) / maxval
 
-    vals = np.empty(rows * cols, dtype=float)
-    for idx in range(rows * cols):
-        tok, off, _ = next_token("pixel value")
-        try:
-            v = int(tok)
-        except ValueError:
-            raise FileFormatError(f"invalid pixel value {tok!r}", offset=off) \
-                from None
-        if not 0 <= v <= maxval:
-            raise FileFormatError(f"pixel value {v} exceeds maxval {maxval}",
-                                  offset=off)
-        vals[idx] = v
-    return (vals / maxval).reshape(rows, cols)
+    rule = f"exceeds maxval {maxval}"
+    vals = [next_int("pixel value", 0, maxval, rule)[0]
+            for _ in range(rows * cols)]
+    return (np.array(vals, dtype=float) / maxval).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +357,16 @@ def read_signal_csv(path) -> np.ndarray:
 
 
 def write_table_csv(path, header: list[str], rows):
+    """A header line, then each row at 17 significant digits; a non-finite
+    value raises NonFiniteError before the file is opened."""
+    body = [[float(v) for v in row] for row in rows]
+    if not all(math.isfinite(v) for row in body for v in row):
+        raise NonFiniteError(f"rows has non-finite entries; not writing "
+                             f"{path}", where="rows")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
+        writer.writerows([format(v, ".17g") for v in row] for row in body)
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:

@@ -23,6 +23,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def write_raw_signal(path, values):
+    """A signal CSV as another program may write it: write_signal_csv
+    refuses the non-finite values these files carry."""
+    Path(path).write_text(
+        "value\n" + "".join(f"{float(v)!r}\n" for v in values))
+
+
 # the README with its line breaks folded to single spaces
 README = " ".join(
     (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -253,7 +260,7 @@ class TestDeblur:
         y = read_signal_csv(problem + "_noisy.csv")
         y[10] = value
         path = str(tmp_path / "bad_input.csv")
-        write_signal_csv(path, y)
+        write_raw_signal(path, y)
         code = run("deblur", "--input", path, "--method", method,
                    "--sidecar", problem + "_sim.json",
                    "--out-prefix", str(tmp_path / "bi"))
@@ -265,7 +272,7 @@ class TestDeblur:
         truth = read_signal_csv(problem + "_truth.csv")
         truth[3] = value
         path = str(tmp_path / "bad_truth.csv")
-        write_signal_csv(path, truth)
+        write_raw_signal(path, truth)
         code = run("deblur", "--input", problem + "_noisy.csv",
                    "--method", "tikhonov", "--sidecar", problem + "_sim.json",
                    "--truth", path, "--out-prefix", str(tmp_path / "bt"))
@@ -392,6 +399,17 @@ class TestDist:
         from tvbayes.distributions import GigParams, gig_moment
         want = gig_moment(GigParams(1, 1, 0.5), 1)
         assert draws.mean() == pytest.approx(want, rel=0.01)
+
+    def test_sample_with_infinite_draws_writes_no_file(self, tmp_path):
+        # the inverse-gamma branch's gamma denominator underflows to 0 on
+        # three of six draws; a CSV of them would not read back, so exit 6
+        out = tmp_path / "draws.csv"
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            code = run("dist", "--op", "sample", "--a", "0", "--b", "1",
+                       "--p", "-0.001", "--n", "6", "--seed", "1",
+                       "--out", str(out))
+        assert code == 6
+        assert not out.exists()
 
     def test_inadmissible_params_exit_code(self):
         assert run("dist", "--op", "mode", "--a", "0", "--b", "0",

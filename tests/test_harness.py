@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tvbayes.errors import FileFormatError
+from tvbayes.errors import FileFormatError, NonFiniteError
 from tvbayes.harness import (
     RunReport,
     add_noise_bsnr,
@@ -239,6 +239,8 @@ class TestPgm:
 # (message, byte offset) it raises or the raster as (integer rows, maxval)
 _PGM_TABLE = {
     "empty": (b"", ("unexpected end of file, expected magic number", 0)),
+    "bad_magic": (b"P6\n2 2\n255\n" + bytes(12),
+                  ("not a PGM file (magic b'P6')", 0)),
     "width_missing": (b"P2\n", ("unexpected end of file, expected width", 3)),
     "height_missing": (b"P2\n2\n",
                        ("unexpected end of file, expected height", 5)),
@@ -290,6 +292,10 @@ _PGM_TABLE = {
                                 ([[10, 32], [9, 13]], 255)),
     "p5_ends_at_maxval": (b"P5\n2 2\n255",
                           ("truncated P5 payload: need 4 bytes, have 0", 10)),
+    # a comment cannot stand for the one whitespace byte: its text is not
+    # the raster's first pixels
+    "p5_comment_after_maxval": (b"P5\n2 2\n255#c\n" + bytes([0, 1, 2, 3]),
+                                ("no whitespace byte after P5 maxval", 10)),
 }
 
 
@@ -308,6 +314,44 @@ def test_read_pgm_table(tmp_path, data, expected):
         rows, maxval = expected
         np.testing.assert_array_equal(read_pgm(path),
                                       np.array(rows, dtype=float) / maxval)
+
+
+class TestWriters:
+    def test_finite_input_bytes(self, tmp_path):
+        img = np.array([[0.0, 0.5, 1.0], [-0.2, 0.25, 1.7]])
+        write_pgm(tmp_path / "a.pgm", img)
+        write_pgm(tmp_path / "b.pgm", img, binary=False)
+        write_table_csv(tmp_path / "t.csv", ["i", "v"],
+                        [(1, 0.1), (2, -2.5e-300)])
+        assert (tmp_path / "a.pgm").read_bytes() == \
+            b"P5\n3 2\n255\n\x00\x80\xff\x00@\xff"
+        assert (tmp_path / "b.pgm").read_bytes() == \
+            b"P2\n3 2\n255\n0 128 255\n0 64 255\n"
+        assert (tmp_path / "t.csv").read_bytes() == \
+            b"i,v\r\n1,0.10000000000000001\r\n2,-2.5e-300\r\n"
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pgm_rejects_non_finite(self, tmp_path, binary, bad):
+        img = np.full((2, 2), 0.5)
+        img[1, 0] = bad
+        path = tmp_path / "x.pgm"
+        with pytest.raises(NonFiniteError, match="img has non-finite") as exc:
+            write_pgm(path, img, binary=binary)
+        assert exc.value.where == "img"
+        assert not path.exists()
+
+    def test_csv_rejects_non_finite(self, tmp_path):
+        # the rows read_table_csv would reject are never written
+        path = tmp_path / "x.csv"
+        for write in (lambda: write_signal_csv(path, [1.0, math.nan, math.inf]),
+                      lambda: write_table_csv(path, ["a", "b"],
+                                              [(1.0, 2.0), (3.0, -math.inf)])):
+            with pytest.raises(NonFiniteError,
+                               match="rows has non-finite") as exc:
+                write()
+            assert exc.value.where == "rows"
+            assert not path.exists()
 
 
 class TestCsv:
