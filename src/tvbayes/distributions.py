@@ -26,6 +26,7 @@ from scipy import special, stats
 from scipy.linalg import solve_triangular
 
 from .errors import GigParameterError, MomentDivergesError, NotSpdError
+from .operators import check_positive
 
 __all__ = [
     "GigParams",
@@ -224,22 +225,26 @@ def gig_sample_batch(a: float, b: np.ndarray, p: float,
     updates, so this is the sampler's hot path. The p = +-1/2 conditionals
     of the Laplace-type priors are exactly (reciprocal) inverse Gaussian
     and use the native wald generator; anything else falls back to scipy.
-    All b_i must keep the triple admissible.
+    All b_i must keep the triple admissible. A draw of 0 or inf (a small
+    shape's underflow) raises :class:`NonFiniteError` (``where="sample"``).
     """
     b = np.asarray(b, dtype=float)
     regime = _gig_regime(a, b)
     if regime == "inv_gamma":
-        return (b / 2.0) / rng.gamma(shape=-p, scale=1.0, size=b.shape)
-    if regime == "gamma":
-        return rng.gamma(shape=p, scale=2.0 / a, size=b.shape)
-    if p == -0.5:
+        with np.errstate(divide="ignore", over="ignore"):
+            draws = (b / 2.0) / rng.gamma(shape=-p, scale=1.0, size=b.shape)
+    elif regime == "gamma":
+        draws = rng.gamma(shape=p, scale=2.0 / a, size=b.shape)
+    elif p == -0.5:
         # GIG(a, b, -1/2) = InverseGaussian(mu=sqrt(b/a), lambda=b)
-        return rng.wald(np.sqrt(b / a), b)
-    if p == 0.5:
+        draws = rng.wald(np.sqrt(b / a), b)
+    elif p == 0.5:
         # 1/X ~ GIG(b, a, -1/2) = InverseGaussian(mu=sqrt(a/b), lambda=a)
-        return 1.0 / rng.wald(np.sqrt(a / b), np.full_like(b, a))
-    return stats.geninvgauss.rvs(p, np.sqrt(a * b), scale=np.sqrt(b / a),
-                                 random_state=rng)
+        draws = 1.0 / rng.wald(np.sqrt(a / b), np.full_like(b, a))
+    else:
+        draws = stats.geninvgauss.rvs(p, np.sqrt(a * b), scale=np.sqrt(b / a),
+                                      random_state=rng)
+    return check_positive(draws, "sample")
 
 
 def gig_inv_moment_batch(a: float, b: np.ndarray, p: float) -> np.ndarray:

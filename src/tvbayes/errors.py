@@ -6,6 +6,8 @@ routines never hand back NaN/inf silently. Each kind of input has one check:
 vectors), ``MvLaplaceParams`` (scale matrices), ``read_table_csv`` (CSV).
 Each writer has one too, so no file is written that a reader rejects:
 ``write_pgm`` (images) and ``write_table_csv`` (CSV tables and signals).
+Each positive-finite value of a model state, an engine update or a GIG
+draw goes through ``operators.check_positive``.
 """
 
 

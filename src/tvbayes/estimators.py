@@ -65,6 +65,7 @@ from .operators import (
     BlurOperator,
     DiffOperator,
     check_nonnegative,
+    check_positive,
     circulant_gram_precond,
     dense_gram,
     weighted_gram_matvec,
@@ -148,18 +149,6 @@ def _gamma_mode(cond: GammaParams, name: str, iteration: int) -> float:
             "may be too small for the improper hyperprior) and a positive "
             "finite rate", where=name, iteration=iteration)
     return cond.mode
-
-
-def _r_mode_batch(a: float, bprime: np.ndarray, p_cond: float,
-                  iteration: int) -> np.ndarray:
-    """Mode of GIG(a, b', p_cond) per latent, checked positive finite."""
-    r = gig_mode_batch(a, bprime, p_cond)
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise NonFiniteError(
-            "latent-scale mode update produced nonpositive values; use a "
-            "safeguarded mixing density",
-            where="r", iteration=iteration)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,9 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         _check_lambda(lam, it)
         step_logs.append(log_joint(nu, lam, r_sums, sq_resid, penalty, model))
 
-        r = _r_mode_batch(a, r_conditional_b(dx2, lam, model), p_cond, it)
+        r = check_positive(
+            gig_mode_batch(a, r_conditional_b(dx2, lam, model), p_cond),
+            "r", it)
         # the next sweep's CG solve reuses these weights and its log-joints
         # these sums
         weights = row_weights_from_r(r, model)
@@ -334,7 +325,6 @@ class VbState:
     r_b: np.ndarray      # second GIG parameter per latent
     r_p: float
     e_inv_r: np.ndarray  # cached E(1/r) per latent
-    e_dx2: np.ndarray    # cached E((difference)^2) per difference row
     iterations: int
     converged: bool
     # the last sweep's x-system, which ``x_cov`` factors again
@@ -460,24 +450,20 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         # = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii) / nu
         tr_hhs = (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean
         nu_cond = nu_conditional(sq_resid + tr_hhs, model)
-        if not (nu_cond.rate > 0 and 0 < nu_cond.mean < math.inf):
-            raise NonFiniteError(
-                f"nu factor rate {nu_cond.rate} is not positive finite",
-                where="nu", iteration=it)
+        # the rate first: a zero one cannot be divided
+        check_positive(nu_cond.rate, "nu", it)
+        check_positive(nu_cond.mean, "nu", it)
         lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
         _check_lambda(lam_cond.mean, it)
 
         r_b = r_conditional_b(e_dx2, lam_cond.mean, model)
-        e_inv_r = gig_inv_moment_batch(a, r_b, p_cond)
-        if not np.all(np.isfinite(e_inv_r)) or np.any(e_inv_r <= 0):
-            raise NonFiniteError("latent-scale inverse moments are not "
-                                 "positive finite", where="e_inv_r",
-                                 iteration=it)
+        e_inv_r = check_positive(gig_inv_moment_batch(a, r_b, p_cond),
+                                 "e_inv_r", it)
         return VbState(
             x_mean=x_mean, x_var=x_var,
             nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
             lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
-            r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r, e_dx2=e_dx2,
+            r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r,
             iterations=it, converged=False,
             x_precision=partial(x_precision, ratio, weights), x_nu=nu_mean)
 

@@ -51,6 +51,7 @@ from .operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
+    check_positive,
     dense_gram,
     validate_rank_condition,
 )
@@ -219,13 +220,8 @@ class LatentState:
         model.lattice.check_vector(self.x, "x")
         if self.r.shape != (model.n_latents,):
             raise ValueError(f"r must have length {model.n_latents}")
-        for name, v in (("nu", self.nu), ("lambda", self.lam)):
-            if not (math.isfinite(v) and v > 0):
-                raise NonFiniteError(f"state {name} must be positive finite, "
-                                     f"got {v}", where=name)
-        if not np.all(np.isfinite(self.r)) or np.any(self.r <= 0):
-            raise NonFiniteError("state r entries must be positive finite",
-                                 where="r")
+        for name, v in (("nu", self.nu), ("lambda", self.lam), ("r", self.r)):
+            check_positive(v, name)
 
 
 def row_weights_from_r(r: np.ndarray, model: ModelSpec) -> np.ndarray:
@@ -288,26 +284,22 @@ def lambda_conditional(weighted_sq_diff: float,
                        0.5 * weighted_sq_diff + model.hyper.beta_lambda)
 
 
-def _degenerate(which: str) -> DegenerateConditionalError:
-    return DegenerateConditionalError(
-        f"{which} degenerate: zero difference under an exact (b = 0) mixing "
-        "density. Use a safeguarded prior, e.g. LaplaceTV(safeguard_b=0.001).")
-
-
-def r_conditional_b(sq_diffs: np.ndarray, lam: float, model: ModelSpec,
-                    check: bool = True) -> np.ndarray:
+def r_conditional_b(sq_diffs: np.ndarray, lam: float,
+                    model: ModelSpec) -> np.ndarray:
     """Second GIG parameter b' = lambda/2 * (squared difference) + b of
-    every latent-scale conditional, from each row's squared difference (or
-    its expectation), pooling each latent's L rows.
-    With ``check`` a zero b' (exact b = 0 mixing only) raises; callers that
-    need one latent check just that one."""
+    each latent-scale conditional, pooling each latent's L rows of squared
+    differences (or their expectations): all M rows in D's order, or one
+    latent's L. A zero b' (exact b = 0 mixing only) raises."""
     bprime = sq_diffs.reshape(model.rows_per_latent, -1).sum(axis=0,
                                                            dtype=float)
     bprime *= 0.5 * lam
     bprime += model.prior.mixing.b
-    if check and np.any(bprime == 0.0):
-        raise _degenerate(f"{int(np.sum(bprime == 0.0))} latent-scale "
-                          "conditional(s)")
+    if np.any(bprime == 0.0):
+        raise DegenerateConditionalError(
+            f"{int(np.sum(bprime == 0.0))} latent-scale conditional(s) "
+            "degenerate: zero difference under an exact (b = 0) mixing "
+            "density. Use a safeguarded prior, e.g. "
+            "LaplaceTV(safeguard_b=0.001).")
     return bprime
 
 
@@ -400,9 +392,8 @@ def conditional_params(state: LatentState, y: np.ndarray, model: ModelSpec,
                 and 0 <= idx < model.n_latents):
             raise ValueError(f"latent index must be an int in "
                              f"[0, {model.n_latents}), got {idx!r}")
-        bprime = r_conditional_b(dx2, state.lam, model, check=False)[idx]
-        if bprime == 0.0:
-            raise _degenerate(f"latent-scale conditional {idx}")
-        return GigParams(model.prior.mixing.a, float(bprime),
+        rows = dx2.reshape(model.rows_per_latent, -1)[:, idx]
+        bprime = r_conditional_b(rows, state.lam, model)
+        return GigParams(model.prior.mixing.a, float(bprime[0]),
                          model.r_conditional_index)
     raise ValueError(f"unknown conditional selector {which!r}")

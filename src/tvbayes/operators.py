@@ -67,6 +67,7 @@ __all__ = [
     "dense_gram",
     "circulant_gram_precond",
     "check_nonnegative",
+    "check_positive",
     "validate_rank_condition",
 ]
 
@@ -412,6 +413,18 @@ def check_nonnegative(value, name: str) -> np.ndarray:
     # NaN fails both comparisons, since min and max propagate it
     if not (value.min() >= 0 and value.max() < np.inf):
         raise NonFiniteError(f"{name} must be finite and >= 0", where=name)
+    return value
+
+
+def check_positive(value, name: str, iteration: int | None = None):
+    """``value`` (array or scalar), checked finite and > 0, returned as it
+    came; an empty array passes."""
+    v = np.asarray(value, dtype=float)
+    # NaN fails both comparisons, since min and max propagate it
+    if v.size and not (v.min() > 0 and v.max() < np.inf):
+        at = "" if iteration is None else f" at iteration {iteration}"
+        raise NonFiniteError(f"{name} must be positive and finite{at}",
+                             where=name, iteration=iteration)
     return value
 
 

@@ -344,14 +344,17 @@ class TestDeblur:
     @pytest.mark.parametrize("method", [
         ["ias"], ["gibbs", "--samples", "200", "--seed", "5"]])
     def test_image_divergence_exit_code(self, tmp_path, method):
-        # a 16x16 image problem whose posterior collapses to a blank image:
-        # both engines stop at the lambda guard
-        prefix = str(tmp_path / "c16")
-        assert run("simulate", "--kind", "blocks42", "--size", "16",
-                   "--kernel-size", "5", "--sigma", "1.25", "--bsnr", "40",
-                   "--seed", "10", "--out-prefix", prefix) == 0
-        code = run("deblur", "--input", prefix + "_noisy.pgm", "--sidecar",
-                   prefix + "_sim.json", "--method", *method,
+        # a 16x16 PGM flat at 0.5 but for one pixel at 1.0 (P2, maxval 2):
+        # the posterior collapses to a blank image from any start, and both
+        # engines stop at the lambda guard (ias at sweep 2, gibbs at 23)
+        path = tmp_path / "spike.pgm"
+        img = np.ones((16, 16), dtype=int)
+        img[8, 8] = 2
+        path.write_text("P2\n16 16\n2\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in img))
+        assert read_pgm(path)[8, 8] == 1.0 and read_pgm(path)[0, 0] == 0.5
+        code = run("deblur", "--input", str(path), "--kernel-size", "5",
+                   "--sigma", "1.25", "--method", *method,
                    "--out-prefix", str(tmp_path / "out"))
         assert code == 5
 
@@ -402,14 +405,37 @@ class TestDist:
 
     def test_sample_with_infinite_draws_writes_no_file(self, tmp_path):
         # the inverse-gamma branch's gamma denominator underflows to 0 on
-        # three of six draws; a CSV of them would not read back, so exit 6
+        # three of six draws, which would be inf: exit 6, with no numpy
+        # warning (pytest makes one an error) and no file
         out = tmp_path / "draws.csv"
-        with pytest.warns(RuntimeWarning, match="divide by zero"):
-            code = run("dist", "--op", "sample", "--a", "0", "--b", "1",
-                       "--p", "-0.001", "--n", "6", "--seed", "1",
-                       "--out", str(out))
+        code = run("dist", "--op", "sample", "--a", "0", "--b", "1",
+                   "--p", "-0.001", "--n", "6", "--seed", "1",
+                   "--out", str(out))
         assert code == 6
         assert not out.exists()
+
+    @pytest.mark.parametrize("params, out", [
+        # three inf draws, printed (with --out: the test above)
+        (("--a", "0", "--b", "1", "--p", "-0.001"), False),
+        # three exact 0 draws, printed or written
+        (("--a", "2", "--b", "0", "--p", "0.001"), False),
+        (("--a", "2", "--b", "0", "--p", "0.001"), True),
+    ], ids=["inf-print", "zero-print", "zero-out"])
+    def test_sample_outside_the_positive_floats_exit_code(
+            self, tmp_path, capsys, params, out):
+        path = tmp_path / "draws.csv"
+        code = run("dist", "--op", "sample", *params, "--n", "6", "--seed",
+                   "1", *(("--out", str(path)) if out else ()))
+        assert code == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sample must be positive and finite\n"
+        assert not path.exists()
+
+    def test_sample_of_zero_draws(self, capsys):
+        assert run("dist", "--op", "sample", "--a", "1", "--b", "1",
+                   "--p", "0.5", "--n", "0") == 0
+        assert capsys.readouterr().out == ""
 
     def test_inadmissible_params_exit_code(self):
         assert run("dist", "--op", "mode", "--a", "0", "--b", "0",

@@ -26,7 +26,12 @@ from tvbayes.distributions import (
     log_bessel_k,
     mvlaplace_log_pdf,
 )
-from tvbayes.errors import GigParameterError, MomentDivergesError, NotSpdError
+from tvbayes.errors import (
+    GigParameterError,
+    MomentDivergesError,
+    NonFiniteError,
+    NotSpdError,
+)
 
 
 # Parameter triples spanning all three admissibility branches.
@@ -394,6 +399,22 @@ class TestGigSample:
         params = GigParams(3.0, 2.5, 0.5)
         assert draws.mean() == pytest.approx(gig_moment(params, 1), rel=0.01)
         assert draws.var() == pytest.approx(gig_variance(params), rel=0.05)
+
+    @pytest.mark.parametrize("params", [
+        # InvGamma(0.001, 1/2): a gamma denominator underflows to 0, so
+        # three of these six draws would be inf
+        GigParams(0.0, 1.0, -0.001),
+        # Gamma(0.001, 1): three of the six draws underflow to 0
+        GigParams(2.0, 0.0, 0.001),
+    ], ids=["inv_gamma", "gamma"])
+    def test_draws_outside_the_positive_floats_raise(self, params):
+        # with no numpy warning on the way, which pytest makes an error
+        a, b, p = params.a, params.b, params.p
+        for draw in (lambda rng: gig_sample(params, rng, size=6),
+                     lambda rng: gig_sample_batch(a, np.full(6, b), p, rng)):
+            with pytest.raises(NonFiniteError) as exc:
+                draw(np.random.default_rng(1))
+            assert (exc.value.where, exc.value.iteration) == ("sample", None)
 
 
 class TestLaplace1d:

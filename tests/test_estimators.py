@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import tvbayes.estimators as est
-from tvbayes.distributions import GigParams, gig_log_pdf, gig_moment, gig_variance
+from tvbayes.distributions import (
+    GigParams,
+    gig_log_pdf,
+    gig_mode_batch,
+    gig_moment,
+    gig_variance,
+)
 from tvbayes.errors import (
     CapacityError,
     DivergenceError,
@@ -35,11 +41,15 @@ from tvbayes.model import (
     ModelSpec,
     StudentTV,
     conditional_params,
+    lambda_conditional,
+    row_weights_from_r,
+    x_statistics,
 )
 from tvbayes.operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
+    check_positive,
     circulant_gram_precond,
     gaussian_kernel,
     weighted_gram_matvec,
@@ -55,6 +65,26 @@ def signal_problem(n=48, bsnr=30.0, seed=0, prior=None, kernel=(7, 1.75)):
     rng = np.random.default_rng(seed)
     y, sigma = add_noise_bsnr(model.blur.matvec(truth), bsnr, rng)
     return model, truth, y
+
+
+def r_mode(a, bprime, p_cond):
+    """IAS's latent-scale step: the GIG mode per latent, checked positive
+    finite."""
+    return check_positive(gig_mode_batch(a, bprime, p_cond), "r")
+
+
+def hty_start(y, model):
+    """The H'y start that ``initial_state`` builds when these tests were
+    written: x0 = H'y, r0 the mixing mean, nu0 = N / ||y - H x0||^2 and
+    lambda0 the mode of its conditional. Tests of the H'y collapse pass it
+    as ``init``, so they keep that collapse whatever the default start
+    becomes."""
+    x0 = model.blur.rmatvec(y)
+    r0 = np.full(model.n_latents, gig_moment(model.prior.mixing, 1))
+    sq_resid, dx2 = x_statistics(x0, y, model)
+    lam0 = lambda_conditional(
+        float(np.sum(dx2 * row_weights_from_r(r0, model))), model).mode
+    return LatentState(x0, model.n_pixels / sq_resid, lam0, r0)
 
 
 def random_blocks(k, rng):
@@ -173,15 +203,13 @@ class TestIasUpdates:
         grid = np.linspace(1e-3, 3.0, 20001)
         dens = [gig_log_pdf(cond, g) for g in grid]
         assert grid[int(np.argmax(dens))] == pytest.approx(0.5, abs=2e-4)
-        from tvbayes.estimators import _r_mode_batch
-        got = _r_mode_batch(cond.a, np.array([cond.b]), cond.p, 0)[0]
+        got = r_mode(cond.a, np.array([cond.b]), cond.p)[0]
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_safeguard_keeps_r_positive(self):
         # zero difference with the safeguarded mixing: strictly positive mode
-        from tvbayes.estimators import _r_mode_batch
         bprime = np.array([0.001])  # lambda * 0 / 2 + b
-        got = _r_mode_batch(2.0, bprime, 0.5, 0)[0]
+        got = r_mode(2.0, bprime, 0.5)[0]
         want = (-0.5 + np.sqrt(0.25 + 2.0 * 0.001)) / 2.0
         assert got == pytest.approx(want, rel=1e-12)
         assert got > 0
@@ -193,11 +221,10 @@ class TestIasUpdates:
         assert grid[int(np.argmax(dens))] == pytest.approx(got, rel=1e-2)
 
     def test_student_a0_mode_branch(self):
-        from tvbayes.estimators import _r_mode_batch
         # InvGamma branch: b'/(2 (1 - p'))
         bprime = np.array([3.0])
         p_cond = -1.5 - 0.5  # w = 3 per-edge conditional index
-        got = _r_mode_batch(0.0, bprime, p_cond, 0)[0]
+        got = r_mode(0.0, bprime, p_cond)[0]
         assert got == pytest.approx(3.0 / (2.0 * 3.0), rel=1e-14)
 
     def test_identity_blur_small_penalty_fixed_point(self):
@@ -224,14 +251,17 @@ class TestIasRuns:
 
     def test_ascent_holds_while_diverging(self):
         # improper hyperpriors at this size walk into the unbounded lambda
-        # direction; the trace must still be monotone up to the guard
+        # direction from the H'y start, passed explicitly so the collapse
+        # does not rest on the default start; the trace must still be
+        # monotone up to the guard
         model, truth, y = image_problem(prior=LaplaceTV())
-        res = ias_run(y, model, IasOptions(pcg_tol=1e-12, maxit=3))
+        init = hty_start(y, model)
+        res = ias_run(y, model, IasOptions(pcg_tol=1e-12, maxit=3, init=init))
         logs = res.substep_logposts.ravel()
         assert np.all(np.diff(logs) >= -1e-8 * np.maximum(1.0,
                                                           np.abs(logs[:-1])))
         with pytest.raises(DivergenceError):
-            ias_run(y, model)
+            ias_run(y, model, IasOptions(init=init))
 
     def test_fixed_point_consistency(self):
         model, truth, y = signal_problem()
@@ -242,8 +272,7 @@ class TestIasRuns:
         cond_nu = conditional_params(res.latent_state(), y, model, "nu")
         assert res.nu == pytest.approx(cond_nu.mode, rel=1e-10)
         cond0 = conditional_params(res.latent_state(), y, model, ("r", 3))
-        from tvbayes.estimators import _r_mode_batch
-        want = _r_mode_batch(cond0.a, np.array([cond0.b]), cond0.p, 0)[0]
+        want = r_mode(cond0.a, np.array([cond0.b]), cond0.p)[0]
         assert res.r[3] == pytest.approx(want, rel=1e-10)
 
     def test_deblurring_beats_noisy_input(self):
@@ -321,13 +350,14 @@ class TestForcingTerm:
         assert tols[-1] == opts.pcg_tol
 
     def test_collapse_never_opens_the_gate(self, tolerances, monkeypatch):
-        # test_ascent_holds_while_diverging's problem: its x change stays
-        # above the gate up to the divergence
+        # test_ascent_holds_while_diverging's problem and H'y start: its x
+        # change stays above the gate up to the divergence
         model, _, y = image_problem(prior=LaplaceTV())
-        opts = IasOptions(pcg_tol=1e-12, maxit=3)
+        init = hty_start(y, model)
+        opts = IasOptions(pcg_tol=1e-12, maxit=3, init=init)
         res = ias_run(y, model, opts)
         with pytest.raises(DivergenceError):
-            ias_run(y, model)
+            ias_run(y, model, IasOptions(init=init))
         assert tolerances[:3] == [1e-12] * 3
         assert set(tolerances[3:]) == {IasOptions().pcg_tol}
         monkeypatch.setattr(est, "_FORCING_GATE", 0.0)
@@ -515,9 +545,12 @@ class TestDenseGram:
 
     def test_nu_rate_trace_identity(self):
         # VB's nu rate takes tr(H'H Cov(x)) from the x-system identity; the
-        # direct N x N trace is the oracle, at VB's own last state
+        # direct N x N trace is the oracle, at VB's own last state. The
+        # dominated case fixes nu at the H'y start's nu0 for its problem, so
+        # lambda0 does not follow the default start
         dominated = image_problem(k=8)
         init = initial_state(dominated[2], dominated[0])
+        init.nu = 129.60533171527604
         init.lam = 1e4 * init.nu
         cases = [
             (signal_problem(n=32), VbOptions()),
@@ -904,11 +937,12 @@ class TestVbAcceleration:
         assert (res.trace[5, 0] == 0.0) == thrown
 
     def test_student_lambda_drift_is_followed(self):
-        # ROADMAP item 2's defect under VB: with the improper lambda prior,
+        # ROADMAP item 5's defect under VB: with the improper lambda prior,
         # StudentTV(2) on a piecewise-constant image multiplies lambda by
         # about 1.37 every plain sweep once x has settled; the plain map's
-        # relative x change then falls below 1e-6 while lambda still
-        # grows. The accelerated run follows the same drift further.
+        # relative x change then falls below 1e-6 while lambda still grows
+        # (the x-only stop rule of item 2). The accelerated run follows the
+        # same drift further.
         lattice = LatticeSpec(32, 32)
         model = ModelSpec.build(lattice, gaussian_kernel(5, 1.25),
                                 prior=StudentTV(2.0))
@@ -928,6 +962,41 @@ class TestVbAcceleration:
         assert settled == 8
         fast = vb_run(y, model, VbOptions(maxit=sweeps))
         assert fast.lam_mean > 10 * res.lam_mean
+
+
+class TestPositiveChecks:
+    """The engines' positive-finite checks name the block and the sweep."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_ias_latent_scale_mode(self, monkeypatch, bad):
+        model, _, y = signal_problem()
+        sweeps = []
+
+        def mode(*args, _fn=est.gig_mode_batch):
+            r = _fn(*args)
+            sweeps.append(len(sweeps) + 1)
+            if len(sweeps) == 2:
+                r[3] = bad
+            return r
+
+        monkeypatch.setattr(est, "gig_mode_batch", mode)
+        with pytest.raises(NonFiniteError) as exc:
+            ias_run(y, model)
+        assert (exc.value.where, exc.value.iteration) == ("r", 2)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_vb_inverse_moments(self, monkeypatch, bad):
+        model, _, y = signal_problem(n=32)
+
+        def moments(*args, _fn=est.gig_inv_moment_batch):
+            m = _fn(*args)
+            m[3] = bad
+            return m
+
+        monkeypatch.setattr(est, "gig_inv_moment_batch", moments)
+        with pytest.raises(NonFiniteError) as exc:
+            vb_run(y, model)
+        assert (exc.value.where, exc.value.iteration) == ("e_inv_r", 1)
 
 
 class TestGibbs:
@@ -1040,16 +1109,18 @@ class TestGibbs:
             gibbs_run(np.zeros(6400), model)
 
     def test_blank_image_collapse_is_a_divergence(self):
-        # 16x16 blocks at 40 dB under the improper default hyperpriors: the
-        # chain walks into the blank-image mode and must stop at the lambda
-        # guard, before the x-precision loses positive definiteness
+        # 16x16 blocks at 40 dB under the improper default hyperpriors: from
+        # the H'y start, passed explicitly, the chain walks into the
+        # blank-image mode and must stop at the lambda guard, before the
+        # x-precision loses positive definiteness
         lattice = LatticeSpec(16, 16)
         model = ModelSpec.build(lattice, gaussian_kernel(5, 1.25))
         truth = lattice.to_stacked(make_image_2d("blocks42", 16))
         y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0,
                               np.random.default_rng(10))
         with pytest.raises(DivergenceError) as exc:
-            gibbs_run(y, model, GibbsOptions(seed=5, samples=200))
+            gibbs_run(y, model, GibbsOptions(seed=5, samples=200,
+                                             init=hty_start(y, model)))
         assert exc.value.mode == "blank_image"
         assert exc.value.iteration >= 1
 

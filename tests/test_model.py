@@ -26,6 +26,7 @@ from tvbayes.model import (
     latent_sums,
     log_joint,
     log_posterior,
+    r_conditional_b,
     row_weights_from_r,
 )
 from tvbayes.operators import (
@@ -73,6 +74,20 @@ class TestStateValidation:
         state.r[2] = 0.0
         with pytest.raises(NonFiniteError):
             state.validate(model)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("field, where", [
+        ("nu", "nu"), ("lam", "lambda"), ("r", "r")])
+    def test_each_block_must_be_positive_finite(self, field, where, bad):
+        model = make_model()
+        state = random_state(model, np.random.default_rng(0))
+        if field == "r":
+            state.r[4] = bad
+        else:
+            setattr(state, field, bad)
+        with pytest.raises(NonFiniteError) as exc:
+            state.validate(model)
+        assert (exc.value.where, exc.value.iteration) == (where, None)
 
     def test_latent_count_per_layout(self):
         assert make_model(prior=LaplaceTV()).n_latents == 18
@@ -336,6 +351,44 @@ class TestConditionals:
         state.x = np.full(model.n_pixels, 0.3)
         cond = conditional_params(state, rng.normal(size=9), model, ("r", 0))
         assert cond.b == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()],
+                             ids=["edge", "pixel"])
+    def test_r_selector_pools_its_latents_rows(self, prior):
+        # conditional_params(("r", i)) reads latent i's L rows, and its b'
+        # is entry i of the engines' all-rows b'
+        model = make_model(k=3, n=4, prior=prior)
+        rng = np.random.default_rng(16)
+        state = random_state(model, rng)
+        y = rng.normal(size=model.n_pixels)
+        want = r_conditional_b(model.diff.matvec(state.x) ** 2, state.lam,
+                               model)
+        got = [conditional_params(state, y, model, ("r", i)).b
+               for i in range(model.n_latents)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("prior", [
+        LaplaceTV(safeguard_b=0.0), Laplace2D(GigParams(2.0, 0.0, 1.0))],
+        ids=["edge", "pixel"])
+    def test_only_the_flat_latent_is_degenerate(self, prior):
+        # exact (b = 0) mixing with latent 0's rows made flat, pixel 0's
+        # +1 neighbours set to its value: latent 0's conditional and the
+        # engines' all-rows b' raise, and the other latents' do not
+        model = make_model(k=3, n=4, prior=prior)
+        rng = np.random.default_rng(17)
+        state = random_state(model, rng)
+        rows0 = np.arange(model.rows_per_latent) * model.n_latents
+        state.x[model.diff.pos_idx[rows0]] = state.x[0]
+        dx2 = model.diff.matvec(state.x) ** 2
+        flat = dx2.reshape(model.rows_per_latent, -1).sum(axis=0) == 0.0
+        assert np.flatnonzero(flat).tolist() == [0]
+        y = rng.normal(size=model.n_pixels)
+        with pytest.raises(DegenerateConditionalError):
+            conditional_params(state, y, model, ("r", 0))
+        with pytest.raises(DegenerateConditionalError):
+            r_conditional_b(dx2, state.lam, model)
+        for i in range(1, model.n_latents):
+            assert conditional_params(state, y, model, ("r", i)).b > 0
 
     @pytest.mark.parametrize("idx", [-1, 9, 1.0])
     def test_r_selector_outside_the_latents(self, idx):

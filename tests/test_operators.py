@@ -14,6 +14,7 @@ from tvbayes.operators import (
     BlurOperator,
     DiffOperator,
     LatticeSpec,
+    check_positive,
     circulant_gram_precond,
     dense_gram,
     gaussian_kernel,
@@ -640,3 +641,22 @@ class TestRankCondition:
         monkeypatch.setattr(BlurOperator, "matvec", forbidden)
         assert validate_rank_condition(good, d)
         assert not validate_rank_condition(bad, d)
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [
+        2.5, np.float64(1e-300), np.array([1.0, 5e-324, 1e308]),
+        np.empty(0)], ids=["float", "np_float", "array", "empty"])
+    def test_returns_positive_finite_values_as_given(self, value):
+        assert check_positive(value, "v") is value
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.inf, -np.inf,
+                                     np.nan])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_names_the_value_and_iteration(self, bad, shape):
+        value = bad if shape == "scalar" else np.array([1.0, bad, 2.0])
+        for iteration, at in ((None, ""), (7, " at iteration 7")):
+            with pytest.raises(NonFiniteError) as exc:
+                check_positive(value, "v", iteration)
+            assert (exc.value.where, exc.value.iteration) == ("v", iteration)
+            assert str(exc.value) == f"v must be positive and finite{at}"
