@@ -148,10 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     deb.add_argument("--tol", type=float, default=1e-6)
     deb.add_argument("--maxit", type=int, default=200)
     deb.add_argument("--samples", type=int, default=10000,
-                     help="gibbs: kept samples")
+                     help="gibbs: post-burn-in sweeps, every draw kept")
     deb.add_argument("--burn-in", type=int, default=None,
                      help="gibbs: burn-in sweeps (default 20%% of samples)")
-    deb.add_argument("--thinning", type=int, default=1)
     deb.add_argument("--seed", type=int, default=0)
     deb.add_argument("--delta", type=float, default=0.01,
                      help="tikhonov: penalty weight")
@@ -335,8 +334,7 @@ def _cmd_deblur(args) -> int:
                  "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate}
     elif args.method == "gibbs":
         res = gibbs_run(y, model, GibbsOptions(
-            seed=args.seed, samples=args.samples, burn_in=args.burn_in,
-            thinning=args.thinning))
+            seed=args.seed, samples=args.samples, burn_in=args.burn_in))
         estimate = res.x_mean
         nu = float(np.mean(res.nu_trace[res.burn_in:]))
         lam = float(np.mean(res.lam_trace[res.burn_in:]))
@@ -347,8 +345,7 @@ def _cmd_deblur(args) -> int:
             path = _out_path(args.out_prefix, f"_{tag}.csv")
             write_signal_csv(path, tr, header=tag)
             outputs[tag] = path
-        extra = {"burn_in": res.burn_in, "kept_samples": res.samples,
-                 "thinning": res.thinning}
+        extra = {"burn_in": res.burn_in, "kept_samples": res.samples}
     else:  # tikhonov
         estimate = tikhonov_baseline(y, model.blur, model.diff, args.delta)
         nu = lam = None

@@ -519,7 +519,6 @@ class GibbsOptions:
     seed: int = 0
     samples: int = 1000
     burn_in: int | None = None  # defaults to 20% of the kept-sample count
-    thinning: int = 1
     init: LatentState | None = None
 
 
@@ -528,7 +527,6 @@ class GibbsChain:
     seed: int
     burn_in: int
     samples: int
-    thinning: int
     x_mean: np.ndarray
     x_var: np.ndarray          # per-pixel sample variance of the kept draws
     nu_trace: np.ndarray       # every sweep, burn-in included
@@ -547,15 +545,13 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     x is drawn from its Gaussian conditional via a dense Cholesky factor
     (capacity gated); nu and lambda from gamma conditionals; every latent
     scale from its GIG conditional in one vectorised draw. Running mean and
-    variance accumulate over the kept (post burn-in, thinned) draws. Each
-    factor is formed in the memory of its sweep's precision, and H'H is read
-    from its lag table, so one N x N array is live at a time.
+    variance accumulate over every post-burn-in draw. Each factor is formed
+    in the memory of its sweep's precision, and H'H is read from its lag
+    table, so one N x N array is live at a time.
     """
     opts = opts or GibbsOptions()
     if opts.samples < 1:
         raise ValueError("need at least one kept sample")
-    if opts.thinning < 1:
-        raise ValueError("thinning must be >= 1")
     burn_in = opts.burn_in if opts.burn_in is not None else opts.samples // 5
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
@@ -566,12 +562,11 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
     a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
     x, nu, lam, r = state.x, state.nu, state.lam, state.r
-    total = burn_in + opts.samples * opts.thinning
+    total = burn_in + opts.samples
     nu_trace = np.empty(total)
     lam_trace = np.empty(total)
     mean = np.zeros(N)
     m2 = np.zeros(N)
-    kept = 0
     for sweep in range(total):
         weights = row_weights_from_r(r, model)
         # the last sweep's factor lives in ``precision``: free it before the
@@ -592,15 +587,15 @@ def gibbs_run(y: np.ndarray, model: ModelSpec,
 
         nu_trace[sweep] = nu
         lam_trace[sweep] = lam
-        if sweep >= burn_in and (sweep - burn_in) % opts.thinning == 0:
-            kept += 1
+        if sweep >= burn_in:
+            kept = sweep - burn_in + 1
             delta = x - mean
             mean += delta / kept
             m2 += delta * (x - mean)
 
-    x_var = m2 / (kept - 1) if kept > 1 else np.zeros(N)
+    x_var = m2 / (opts.samples - 1) if opts.samples > 1 else np.zeros(N)
     return GibbsChain(
-        seed=opts.seed, burn_in=burn_in, samples=kept, thinning=opts.thinning,
+        seed=opts.seed, burn_in=burn_in, samples=opts.samples,
         x_mean=mean, x_var=x_var, nu_trace=nu_trace, lam_trace=lam_trace,
         last_state=LatentState(x, nu, lam, r))
 

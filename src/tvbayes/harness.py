@@ -1,11 +1,12 @@
 """Test-problem generation, noise injection, quality metrics and file I/O.
 
 Everything here is deterministic given its arguments (noise takes an
-explicit generator). Interchange formats: 8-bit PGM (P2/P5) for images,
-CSV for traces and signals (a signal is a table's first column; the one
-parser, ``read_table_csv``, rejects ragged, non-numeric and non-finite
-rows), JSON for run reports. Internal computation is floating point;
-quantisation happens only at the PGM boundary.
+explicit generator). Interchange formats: 8-bit PGM for images (read as
+P2 or P5, written as P5), CSV for traces and signals (a signal is a
+table's first column; the one parser, ``read_table_csv``, rejects ragged,
+non-numeric and non-finite rows), JSON for run reports. Internal
+computation is floating point; quantisation happens only at the PGM
+boundary.
 
 PGM rasters are row major (top row first) and map to the k x n arrays that
 ``LatticeSpec.to_grid``/``to_stacked`` convert to and from the column-wise
@@ -246,11 +247,10 @@ class RunReport:
 # PGM (netpbm P2 / P5), maxval 255
 # ---------------------------------------------------------------------------
 
-def write_pgm(path, img: np.ndarray, binary: bool = True):
-    """Write a float image (clipped to [0, 1], quantised to 8 bits).
+def write_pgm(path, img: np.ndarray):
+    """Write a float image (clipped to [0, 1], quantised to 8 bits) as P5.
 
-    ``binary`` selects P5; otherwise ASCII P2 is written. A non-finite
-    pixel raises NonFiniteError before the file is opened.
+    A non-finite pixel raises NonFiniteError before the file is opened.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
@@ -260,16 +260,9 @@ def write_pgm(path, img: np.ndarray, binary: bool = True):
                              where="img")
     q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     rows, cols = q.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-            fh.write(q.tobytes(order="C"))
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"P2\n{cols} {rows}\n255\n")
-            for row in q:
-                fh.write(" ".join(str(int(v)) for v in row))
-                fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
+        fh.write(q.tobytes(order="C"))
 
 
 # A comment (# to the end of its line) or a token. In a bytes pattern \s

@@ -155,6 +155,13 @@ class TestDeblur:
         assert nu_trace.shape == lam_trace.shape == (240,)  # 20% burn-in
         report = RunReport.from_json(out + "_report.json")
         assert report.converged is None  # Gibbs runs no convergence test
+        assert report.iterations == 240
+        assert (report.outputs["param_burn_in"],
+                report.outputs["param_kept_samples"]) == (40, 200)
+        # nu and lam average the post-burn-in draws, the ones that make the
+        # estimate
+        assert report.nu == np.mean(nu_trace[40:])
+        assert report.lam == np.mean(lam_trace[40:])
 
     def test_config_holds_every_flag_and_the_resolved_kernel(self, problem,
                                                              tmp_path):
@@ -169,7 +176,7 @@ class TestDeblur:
             "alpha_lambda", "alpha_nu", "beta_lambda", "beta_nu", "burn_in",
             "delta", "dof", "gig_a", "gig_b", "gig_p", "input",
             "kernel_sigma", "kernel_size", "maxit", "method", "prior",
-            "safeguard_b", "samples", "seed", "thinning", "tol"]
+            "safeguard_b", "samples", "seed", "tol"]
         assert (config["kernel_size"], config["kernel_sigma"]) == (5, 1.25)
         assert config["input"] == problem + "_noisy.csv"
         assert config["method"] == "tikhonov" and config["burn_in"] is None
@@ -318,8 +325,9 @@ class TestDeblur:
         ["--method", "tikhonov", "--kernel-size", "5", "--sigma", "inf"],
         ["--method", "tikhonov", "--kernel-size", "5", "--sigma", "1e200"],
         ["--method", "ias", "--prior", "student", "--dof", "0"],
+        ["--method", "ias", "--alpha-lambda", "-1"],
     ], ids=["ias-tol", "vb-tol", "tikhonov-delta", "kernel-sigma",
-            "kernel-sigma-square", "dof"])
+            "kernel-sigma-square", "dof", "alpha-lambda"])
     def test_out_of_range_option_exit_code(self, problem, tmp_path, flags):
         code = run("deblur", "--input", problem + "_noisy.csv", *flags,
                    "--out-prefix", str(tmp_path / "no"))
@@ -327,9 +335,22 @@ class TestDeblur:
         assert not (tmp_path / "no_report.json").exists()
 
     def test_missing_input_exit_code(self, tmp_path):
-        code = run("deblur", "--input", str(tmp_path / "nothing.csv"),
-                   "--method", "ias", "--out-prefix", str(tmp_path / "o"))
-        assert code == 2
+        # a file that is not there, and one that is neither .csv nor .pgm
+        (tmp_path / "signal.txt").write_text("value\n0.2\n0.9\n")
+        for name in ("nothing.csv", "signal.txt"):
+            code = run("deblur", "--input", str(tmp_path / name),
+                       "--method", "ias", "--out-prefix", str(tmp_path / "o"))
+            assert code == 2, name
+
+    def test_nu_without_a_mode_exit_code(self, tmp_path):
+        # two pixels: nu's gamma conditional has shape N/2 = 1 under the
+        # improper hyperprior, so IAS finds no positive finite mode
+        path = tmp_path / "two.csv"
+        path.write_text("value\n0.2\n0.9\n")
+        code = run("deblur", "--input", str(path), "--method", "ias",
+                   "--kernel-size", "1", "--out-prefix", str(tmp_path / "tw"))
+        assert code == 6
+        assert not (tmp_path / "tw_report.json").exists()
 
     def test_divergence_exit_code(self, tmp_path):
         # near-constant data drives the penalty strength over the guard
@@ -357,6 +378,29 @@ class TestDeblur:
                    "--sigma", "1.25", "--method", *method,
                    "--out-prefix", str(tmp_path / "out"))
         assert code == 5
+
+    @pytest.mark.parametrize("method", [
+        ["ias"], ["vb"], ["gibbs", "--samples", "100", "--seed", "2"]],
+        ids=["ias", "vb", "gibbs"])
+    def test_laplace2d_and_gig_priors_are_laplace_in_1d(self, tmp_path,
+                                                         method):
+        # on a 1-D lattice there is one difference block, so laplace2d's
+        # per-pixel latent scales one row; gig defaults to GIG(2, 0.001, 1),
+        # laplace's mixing law
+        demo = str(tmp_path / "demo")
+        run("simulate", "--kind", "blocky", "--size", "100", "--bsnr", "30",
+            "--seed", "1", "--out-prefix", demo)
+        estimates = {}
+        for prior in ("laplace", "laplace2d", "gig"):
+            out = str(tmp_path / prior)
+            assert run("deblur", "--input", demo + "_noisy.csv",
+                       "--sidecar", demo + "_sim.json", "--method", *method,
+                       "--prior", prior, "--out-prefix", out) == 0
+            report = RunReport.from_json(out + "_report.json")
+            assert report.config["prior"] == prior
+            estimates[prior] = Path(out + "_estimate.csv").read_bytes()
+        assert estimates["laplace2d"] == estimates["laplace"]
+        assert estimates["gig"] == estimates["laplace"]
 
     def test_student_prior_flag(self, problem, tmp_path):
         out = str(tmp_path / "st")

@@ -393,12 +393,16 @@ class TestGigSample:
         assert draws.mean() == pytest.approx(gig_moment(params, 1), rel=0.02)
 
     def test_batch_matches_moments(self):
-        rng = np.random.default_rng(31)
         b = np.full(100_000, 2.5)
-        draws = gig_sample_batch(3.0, b, 0.5, rng)
-        params = GigParams(3.0, 2.5, 0.5)
-        assert draws.mean() == pytest.approx(gig_moment(params, 1), rel=0.01)
-        assert draws.var() == pytest.approx(gig_variance(params), rel=0.05)
+        # the reciprocal (p = 1/2) and the direct (p = -1/2) inverse
+        # Gaussian paths
+        for p in (0.5, -0.5):
+            draws = gig_sample_batch(3.0, b, p, np.random.default_rng(31))
+            params = GigParams(3.0, 2.5, p)
+            assert draws.mean() == pytest.approx(gig_moment(params, 1),
+                                                 rel=0.01), p
+            assert draws.var() == pytest.approx(gig_variance(params),
+                                                rel=0.05), p
 
     @pytest.mark.parametrize("params", [
         # InvGamma(0.001, 1/2): a gamma denominator underflows to 0, so

@@ -998,6 +998,14 @@ class TestPositiveChecks:
             vb_run(y, model)
         assert (exc.value.where, exc.value.iteration) == ("e_inv_r", 1)
 
+    def test_ias_nu_mode_needs_shape_above_one(self):
+        # two pixels: under the improper hyperprior nu's gamma conditional
+        # has shape N/2 = 1, so it has no positive finite mode
+        model = ModelSpec.build(LatticeSpec(1, 2), gaussian_kernel(1, 0.25))
+        with pytest.raises(NonFiniteError, match="needs shape > 1") as exc:
+            ias_run(np.array([0.2, 0.9]), model)
+        assert (exc.value.where, exc.value.iteration) == ("nu", 1)
+
 
 class TestGibbs:
     def test_seed_determinism(self):
@@ -1127,7 +1135,6 @@ class TestGibbs:
     @pytest.mark.parametrize("opts", [
         GibbsOptions(samples=10, burn_in=-1),
         GibbsOptions(samples=0),
-        GibbsOptions(thinning=0),
     ])
     def test_rejects_bad_chain_lengths(self, opts):
         model, truth, y = signal_problem(n=16)
