@@ -26,7 +26,10 @@ reads H'H v from the M v that CG carries (``solvers.pcg_solve``) and applies
 only the stencils, D'((W - w_mean I) D v) in one pass over the blocks
 (``DiffOperator.gram_matvec``), each a flat shift of the stacked vector.
 Every function that takes a blur and a difference operator first checks
-that they share a lattice (``_check_same_lattice``).
+that they share a lattice (``_check_same_lattice``). H'H + delta D'D is
+circulant too, so the Tikhonov solve (``tikhonov_solve``) is one division
+on the Fourier grid, and the generalized cross-validation score of its
+weight delta (``gcv_scores``) a sum over that grid.
 
 The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
 ``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
@@ -66,6 +69,10 @@ __all__ = [
     "weighted_gram_matvec",
     "dense_gram",
     "circulant_gram_precond",
+    "tikhonov_solve",
+    "GCV_DELTAS",
+    "gcv_scores",
+    "gcv_delta",
     "check_nonnegative",
     "check_positive",
     "validate_rank_condition",
@@ -550,6 +557,56 @@ def circulant_gram_precond(blur: BlurOperator, diff: DiffOperator,
         return _fourier_apply(lattice, v, inv_eig, out, spec)
 
     return apply
+
+
+def tikhonov_solve(blur: BlurOperator, diff: DiffOperator, delta: float,
+                   rhs: np.ndarray) -> np.ndarray:
+    """(H'H + delta D'D)^{-1} rhs by one division on the Fourier grid: the
+    Tikhonov solution at weight ``delta`` when ``rhs`` is H'y."""
+    # this module's preconditioner, not the estimators' binding of it, which
+    # perfbench/spans.py counts as CG preconditioner applies
+    return circulant_gram_precond(blur, diff, delta, 1.0)(rhs)
+
+
+# The Tikhonov weights GCV chooses from: 10^-8 ... 10^0 in quarter decades
+GCV_DELTAS = 10.0 ** (np.arange(-32, 1) / 4)
+
+
+def gcv_scores(blur: BlurOperator, diff: DiffOperator,
+               y: np.ndarray) -> np.ndarray:
+    """Generalized cross-validation score of the Tikhonov solution at each
+    weight of ``GCV_DELTAS`` (Golub, Heath & Wahba, Technometrics 1979).
+
+    With A = H (H'H + delta D'D)^{-1} H' the score is N ||(I - A) y||^2 /
+    tr(I - A)^2. I - A is circulant, with eigenvalue g = delta mu / (|H^|^2
+    + delta mu) at a frequency where D'D's is mu, so by Parseval the score
+    is sum g^2 |y^|^2 / (sum g)^2 over the Fourier grid. On the rfft2 grid
+    every column but the first and, for even n, the last stands for two
+    columns of the full one, and is weighted twice. g is 0 only at the zero
+    frequency (mu = 0, |H^|^2 = 1), so the sum of g is positive.
+    """
+    _check_same_lattice(blur, diff)
+    lattice = blur.lattice
+    _check_length(y, lattice.size, "stacked vector")
+    spec = np.fft.rfft2(lattice.to_grid(y))
+    weight = np.full(spec.shape[1], 2.0)
+    weight[0] = 1.0
+    if lattice.n % 2 == 0:
+        weight[-1] = 1.0
+    wy2 = weight * np.abs(spec) ** 2
+    mu = diff.gram_eigenvalues()
+    scores = np.empty(GCV_DELTAS.size)
+    # one weight at a time, so the work arrays stay the size of the grid
+    for i, delta in enumerate(GCV_DELTAS):
+        g = delta * mu
+        g /= blur._gram + g
+        scores[i] = np.sum(g * g * wy2) / (g.sum(axis=0) @ weight) ** 2
+    return scores
+
+
+def gcv_delta(blur: BlurOperator, diff: DiffOperator, y: np.ndarray) -> float:
+    """The weight of ``GCV_DELTAS`` with the least ``gcv_scores`` score."""
+    return float(GCV_DELTAS[np.argmin(gcv_scores(blur, diff, y))])
 
 
 def validate_rank_condition(blur: BlurOperator, diff: DiffOperator) -> bool:
