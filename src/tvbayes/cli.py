@@ -331,7 +331,9 @@ def _cmd_deblur(args) -> int:
         write_signal_csv(std_path, res.x_std, header="posterior_std")
         outputs["posterior_std"] = std_path
         extra = {"nu_shape": res.nu_shape, "nu_rate": res.nu_rate,
-                 "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate}
+                 "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate,
+                 "warm_sweeps": res.warm_sweeps,
+                 "discarded_sweeps": res.discarded_sweeps}
     elif args.method == "gibbs":
         res = gibbs_run(y, model, GibbsOptions(
             seed=args.seed, samples=args.samples, burn_in=args.burn_in))

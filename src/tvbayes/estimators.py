@@ -5,9 +5,12 @@
   and lambda by closed gamma modes, the latent scales by the GIG mode).
 * :func:`vb_run` - mean-field approximation q(x) q(nu) q(lambda) prod q(r),
   cycled to a fixed point, which SQUAREM extrapolation reaches in fewer
-  sweeps; dense, so capacity gated. The result keeps diag
-  Cov(x); ``VbState.x_cov`` inverts the last sweep's precision (dpotri) on
-  each read.
+  sweeps; dense, so capacity gated. From the default start a warm stage
+  first brings the factors near the fixed point with cheap sweeps: x by
+  the CG solve of IAS, Cov(x) by its block-circulant approximation
+  (``operators.circulant_covariance``). The result keeps diag Cov(x);
+  ``VbState.x_cov`` inverts the last sweep's precision (dpotri) on each
+  read.
 * :func:`gibbs_run` - systematic-scan sampler over the same conditionals,
   with running moments of the kept draws.
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
@@ -68,6 +71,7 @@ from .operators import (
     DiffOperator,
     check_nonnegative,
     check_positive,
+    circulant_covariance,
     circulant_gram_precond,
     dense_gram,
     gcv_delta,
@@ -328,6 +332,11 @@ class VbOptions:
     init: LatentState | None = None
 
 
+# VB warm stage, see vb_run: the hand-off x change, the sweep cap and the CG
+# tolerance of its x-systems
+_WARM_TOL, _WARM_MAXIT, _WARM_PCG_TOL = 1e-2, 20, 1e-8
+
+
 @dataclass
 class VbState:
     """The mean-field factors at the end of a VB run.
@@ -354,8 +363,15 @@ class VbState:
     # the last sweep's x-system, which ``x_cov`` factors again
     x_precision: Callable[[], np.ndarray] = field(repr=False)
     x_nu: float = field(repr=False)
-    # one row per iteration: (relative x change, nu mean, lambda mean)
+    # one row per dense sweep: (relative x change, nu mean, lambda mean)
     trace: np.ndarray = field(repr=False, default=None)
+    # sweeps of the circulant warm stage before the dense ones
+    warm_sweeps: int = 0
+    # extrapolated sweeps whose result was thrown away, and the last one's
+    # error: its class name and, for a DivergenceError, its mode
+    discarded_sweeps: int = 0
+    discarded_error: str | None = None
+    discarded_mode: str | None = None
 
     @property
     def nu_mean(self) -> float:
@@ -417,6 +433,56 @@ def _squarem_point(cycle: list[np.ndarray], step_max: float,
     return (float(point[0]), float(point[1]), point[2:]), step_max
 
 
+def _vb_factors(x_mean: np.ndarray, row_var: np.ndarray, tr_hhs: float,
+                weights: np.ndarray, y: np.ndarray, model: ModelSpec,
+                it: int) -> tuple[GammaParams, GammaParams, np.ndarray,
+                                  np.ndarray]:
+    """The nu, lambda and latent-scale factors of VB sweep ``it`` from its
+    x factor, whose x-system was built with row weights W = E(R^{-2}): the
+    mean, the variances diag(D S D') of the difference rows and tr(H'H S),
+    S = Cov(x). Returns the nu and lambda factors and, per latent, the GIG
+    b' and E(1/r). Dense and warm sweeps both update through here."""
+    sq_resid, dx2 = x_statistics(x_mean, y, model)
+    e_dx2 = dx2 + row_var
+    # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S)
+    nu_cond = nu_conditional(sq_resid + tr_hhs, model)
+    # the rate first: a zero one cannot be divided
+    check_positive(nu_cond.rate, "nu", it)
+    check_positive(nu_cond.mean, "nu", it)
+    lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
+    _check_lambda(lam_cond.mean, it)
+
+    r_b = r_conditional_b(e_dx2, lam_cond.mean, model)
+    e_inv_r = check_positive(
+        gig_inv_moment_batch(model.prior.mixing.a, r_b,
+                             model.r_conditional_index), "e_inv_r", it)
+    return nu_cond, lam_cond, r_b, e_inv_r
+
+
+def _vb_warm_stage(y: np.ndarray, hty: np.ndarray, model: ModelSpec,
+                   state: LatentState) -> tuple[LatentState, int]:
+    """VB's warm stage from ``state`` (see :func:`vb_run`), for checked data
+    y and its H'y: the point the dense sweeps start from, as a state with x
+    the last warm sweep's mean and r = 1 / E(1/r), and the number of warm
+    sweeps."""
+    stats = circulant_covariance(model.blur, model.diff)
+    x, nu, lam, e_inv_r = state.x, state.nu, state.lam, 1.0 / state.r
+    for it in range(1, _WARM_MAXIT + 1):
+        weights = 0.5 * model.latents_to_rows(e_inv_r)
+        x_next = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
+                             _WARM_PCG_TOL, x)
+        row_var, tr_hhs = stats(nu, lam * float(np.mean(weights)))
+        nu_cond, lam_cond, _, e_inv_r = _vb_factors(
+            x_next, row_var, tr_hhs, weights, y, model, it)
+        nu, lam = nu_cond.mean, lam_cond.mean
+        rel = float(np.linalg.norm(x_next - x)
+                    / max(np.linalg.norm(x), 1e-300))
+        x = x_next
+        if rel < _WARM_TOL:
+            break
+    return LatentState(x=x, nu=nu, lam=lam, r=1.0 / e_inv_r), it
+
+
 def vb_run(y: np.ndarray, model: ModelSpec,
            opts: VbOptions | None = None) -> VbState:
     """Mean-field factor iteration to a fixed point.
@@ -424,27 +490,42 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     The x factor is Gaussian with dense covariance, so the run is capacity
     gated; nu and lambda factors are gammas with fixed shapes; latent-scale
     factors are GIG with shared (a, p) and per-latent second parameter.
-    A sweep reads from Cov(x) only diag(D Cov(x) D') and diag Cov(x), from
-    the rows of the inverse Cholesky factor L^{-T}. Each factor is formed in
-    the memory of its precision and L^{-T} in the factor's (which spends
-    it), and H'H is read from its lag table, so one N x N array is live at
-    a time. The result keeps diag Cov(x) and the last sweep's x-system, not
-    an N x N array: ``VbState.x_cov`` forms the covariance when it is read.
+    A dense sweep reads from Cov(x) only diag(D Cov(x) D') and diag Cov(x),
+    from the rows of the inverse Cholesky factor L^{-T}. Each factor is
+    formed in the memory of its precision and L^{-T} in the factor's (which
+    spends it), and H'H is read from its lag table, so one N x N array is
+    live at a time. The result keeps diag Cov(x) and the last sweep's
+    x-system, not an N x N array: ``VbState.x_cov`` forms the covariance
+    when it is read.
 
-    A sweep is the VB map on theta = (log nu, log lambda, log E(1/r)), and
-    SQUAREM-S3 (Varadhan & Roland, Scand. J. Stat. 2008) drives it in
+    Without ``opts.init`` the run first takes a warm stage from the GCV
+    start: sweeps of the same map whose x mean comes from CG
+    (:func:`_gram_solve`, to ``_WARM_PCG_TOL``) and whose row variances and
+    tr(H'H Cov(x)) come from the block-circulant covariance at the mean row
+    weight (``operators.circulant_covariance``). It ends at the first sweep
+    whose relative x change is below ``_WARM_TOL`` = 1e-2, or after
+    ``_WARM_MAXIT`` sweeps, and the dense sweeps start from its output.
+    ``warm_sweeps`` counts these sweeps; a typed error in one propagates,
+    naming its warm sweep as the iteration. With ``opts.init`` the dense
+    sweeps start at once.
+
+    A dense sweep is the VB map on theta = (log nu, log lambda, log E(1/r)),
+    and SQUAREM-S3 (Varadhan & Roland, Scand. J. Stat. 2008) drives it in
     cycles of three sweeps: two plain ones from theta0, then one at the
     point extrapolated from their outputs (see :func:`_squarem_point`),
     whose output is the next cycle's theta0. When that point is not
     positive finite the sweep is not run, and when its sweep raises a
     :class:`TvBayesError` or meets a float overflow, invalid value or
     division by zero its result is thrown away; either way the run goes on
-    from the second plain sweep's output. A typed error in any other sweep
-    propagates. ``iterations`` and ``trace`` count every sweep run,
-    one row each; a thrown-away sweep's row repeats the kept nu and lambda
-    with an x change of 0. ``converged`` is set on a plain sweep, one whose
-    input is the previous sweep's output, with a relative x change below
-    ``tol``.
+    from the second plain sweep's output. ``discarded_sweeps`` counts the
+    thrown-away results, and ``discarded_error``/``discarded_mode`` name
+    the last one's error. A typed error in any other sweep propagates.
+    ``iterations`` and ``trace`` count every dense sweep run, one row each;
+    a thrown-away sweep's row repeats the kept nu and lambda with an x
+    change of 0. ``converged`` is set on a plain sweep whose input is the
+    previous dense sweep's output, with a relative x change below ``tol``;
+    so the first dense sweep, whose x change is measured from the start or
+    the warm stage's CG solution, never sets it.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -456,33 +537,22 @@ def vb_run(y: np.ndarray, model: ModelSpec,
 
     def sweep(nu_mean: float, lam_mean: float, e_inv_r: np.ndarray,
               it: int) -> VbState:
-        """The VB map: every factor updated once from the input means, as
-        a run that ends with sweep ``it``."""
+        """The dense VB map: every factor updated once from the input
+        means, as a run that ends with sweep ``it``."""
         weights = 0.5 * model.latents_to_rows(e_inv_r)
         ratio = lam_mean / nu_mean
         factor = SpdFactor(x_precision(ratio, weights), overwrite=True)
         x_mean = factor.solve(hty)
-        sq_resid, dx2 = x_statistics(x_mean, y, model)
         row_var, x_var = model.diff.factor_row_quadratic(
             factor.inverse_factor())
         row_var /= nu_mean
         x_var /= nu_mean
-        e_dx2 = dx2 + row_var
-
-        # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S), S = Cov(x); with the
-        # nu, lambda that built this sweep's factor, S (nu H'H + lambda D'WD)
-        # = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii) / nu
+        # with the nu, lambda that built this sweep's factor, S (nu H'H +
+        # lambda D'WD) = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii)
+        # / nu
         tr_hhs = (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean
-        nu_cond = nu_conditional(sq_resid + tr_hhs, model)
-        # the rate first: a zero one cannot be divided
-        check_positive(nu_cond.rate, "nu", it)
-        check_positive(nu_cond.mean, "nu", it)
-        lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
-        _check_lambda(lam_cond.mean, it)
-
-        r_b = r_conditional_b(e_dx2, lam_cond.mean, model)
-        e_inv_r = check_positive(gig_inv_moment_batch(a, r_b, p_cond),
-                                 "e_inv_r", it)
+        nu_cond, lam_cond, r_b, e_inv_r = _vb_factors(
+            x_mean, row_var, tr_hhs, weights, y, model, it)
         return VbState(
             x_mean=x_mean, x_var=x_var,
             nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
@@ -491,12 +561,18 @@ def vb_run(y: np.ndarray, model: ModelSpec,
             iterations=it, converged=False,
             x_precision=partial(x_precision, ratio, weights), x_nu=nu_mean)
 
+    warm = 0
+    if opts.init is None:
+        init, warm = _vb_warm_stage(y, hty, model, init)
     point = (init.nu, init.lam, 1.0 / init.r)
     x_prev = init.x
     # theta at the input of this cycle's first plain sweep, then at each
     # plain sweep's output
     cycle = [_log_point(*point)]
     step_max, trace, converged = 1.0, [], False
+    # the last dense sweep's output; the thrown-away sweeps and their last
+    # error
+    last, discarded, thrown = None, 0, None
     while len(trace) < opts.maxit:
         it = len(trace) + 1
         # the last sweep's output, which the run goes on from
@@ -513,15 +589,16 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         try:
             with guard:
                 out = sweep(*point, it)
-        except (TvBayesError, FloatingPointError):
+        except (TvBayesError, FloatingPointError) as err:
             if not extrapolated:
                 raise
             trace.append((0.0, *kept[:2]))
-            point = kept
+            point, discarded, thrown = kept, discarded + 1, err
             continue
         rel = float(np.linalg.norm(out.x_mean - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
-        converged = point is kept and rel < opts.tol
+        # x_prev is a dense sweep's x only once one has run
+        converged = last is not None and point is kept and rel < opts.tol
         last, x_prev = out, out.x_mean
         point = out.nu_mean, out.lam_mean, out.e_inv_r
         trace.append((rel, *point[:2]))
@@ -530,8 +607,12 @@ def vb_run(y: np.ndarray, model: ModelSpec,
         theta = _log_point(*point)
         cycle = [theta] if extrapolated else cycle + [theta]
 
-    return replace(last, iterations=len(trace), converged=converged,
-                   trace=np.asarray(trace))
+    return replace(
+        last, iterations=len(trace), converged=converged,
+        trace=np.asarray(trace), warm_sweeps=warm,
+        discarded_sweeps=discarded,
+        discarded_error=None if thrown is None else type(thrown).__name__,
+        discarded_mode=getattr(thrown, "mode", None))
 
 
 # ---------------------------------------------------------------------------

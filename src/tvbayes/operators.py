@@ -29,7 +29,9 @@ Every function that takes a blur and a difference operator first checks
 that they share a lattice (``_check_same_lattice``). H'H + delta D'D is
 circulant too, so the Tikhonov solve (``tikhonov_solve``) is one division
 on the Fourier grid, and the generalized cross-validation score of its
-weight delta (``gcv_scores``) a sum over that grid.
+weight delta (``gcv_scores``) a sum over that grid; so are the difference-row
+variances and tr(H'H S) of the covariance S = (nu H'H + lambda w_mean
+D'D)^{-1} that VB's warm sweeps use (``circulant_covariance``).
 
 The dense x-system H'H + (lambda/nu) D' W D of VB, Gibbs and
 ``model.conditional_params`` is formed only in ``dense_gram``. It reads H'H
@@ -69,6 +71,7 @@ __all__ = [
     "weighted_gram_matvec",
     "dense_gram",
     "circulant_gram_precond",
+    "circulant_covariance",
     "tikhonov_solve",
     "GCV_DELTAS",
     "gcv_scores",
@@ -568,6 +571,54 @@ def tikhonov_solve(blur: BlurOperator, diff: DiffOperator, delta: float,
     return circulant_gram_precond(blur, diff, delta, 1.0)(rhs)
 
 
+def _parseval_weights(lattice: LatticeSpec) -> np.ndarray:
+    """Column weights that turn a sum over the k x (n//2+1) rfft2 grid of a
+    symmetric spectrum into the sum over the full k x n grid: every column
+    but the first and, for even n, the last stands for two."""
+    weight = np.full(lattice.n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if lattice.n % 2 == 0:
+        weight[-1] = 1.0
+    return weight
+
+
+def circulant_covariance(blur: BlurOperator, diff: DiffOperator):
+    """Builder: ``stats(nu, lam_w)`` returns diag(D S D'), one variance per
+    difference row, and tr(H'H S) for the block-circulant covariance S =
+    (nu H'H + lam_w D'D)^{-1} (Babacan, Molina & Katsaggelos, IEEE TIP
+    2008), with lam_w = lambda w_mean.
+
+    S is diagonal on the Fourier grid, with entry 1 / (nu |H^|^2 + lam_w
+    mu) where D'D's eigenvalue is mu. A block of D is a circulant first
+    difference, with eigenvalue modulus |s_b|^2 = |rfft2 of its column D_b
+    e_0|^2, so each of its rows has variance (1/N) sum |s_b|^2 / (nu |H^|^2
+    + lam_w mu) over the Fourier grid, and tr(H'H S) = sum |H^|^2 / (nu
+    |H^|^2 + lam_w mu). The sums run over the rfft2 grid with the Parseval
+    column weights of ``gcv_scores``. The block spectra are formed here,
+    once per builder, and each call costs O(N) with no transform.
+    """
+    _check_same_lattice(blur, diff)
+    lattice = diff.lattice
+    N = lattice.size
+    weight = _parseval_weights(lattice)
+    # one row per block: |s_b|^2 on the flattened rfft2 grid, each column
+    # weighted and the 1/N of a row variance folded in
+    block_eig = np.stack([
+        (np.abs(np.fft.rfft2(lattice.to_grid(col))) ** 2 * weight).ravel()
+        for col in diff.matvec(np.arange(N) == 0).reshape(diff.n_blocks, N)])
+    block_eig /= N
+    hh = blur._gram * weight
+    mu = diff.gram_eigenvalues()
+
+    def stats(nu: float, lam_w: float) -> tuple[np.ndarray, float]:
+        inv_eig = nu * blur._gram + lam_w * mu
+        np.divide(1.0, inv_eig, out=inv_eig)
+        return (np.repeat(block_eig @ inv_eig.ravel(), N),
+                float(np.sum(hh * inv_eig)))
+
+    return stats
+
+
 # The Tikhonov weights GCV chooses from: 10^-8 ... 10^0 in quarter decades
 GCV_DELTAS = 10.0 ** (np.arange(-32, 1) / 4)
 
@@ -589,10 +640,7 @@ def gcv_scores(blur: BlurOperator, diff: DiffOperator,
     lattice = blur.lattice
     _check_length(y, lattice.size, "stacked vector")
     spec = np.fft.rfft2(lattice.to_grid(y))
-    weight = np.full(spec.shape[1], 2.0)
-    weight[0] = 1.0
-    if lattice.n % 2 == 0:
-        weight[-1] = 1.0
+    weight = _parseval_weights(lattice)
     wy2 = weight * np.abs(spec) ** 2
     mu = diff.gram_eigenvalues()
     scores = np.empty(GCV_DELTAS.size)

@@ -144,6 +144,20 @@ class TestDeblur:
         report = RunReport.from_json(out + "_report.json")
         assert report.outputs["param_nu_shape"] == 32.0
 
+    def test_vb_report_counts_warm_and_discarded_sweeps(self, problem,
+                                                        tmp_path):
+        out = str(tmp_path / "vbw")
+        code = run("deblur", "--input", problem + "_noisy.csv",
+                   "--method", "vb", "--sidecar", problem + "_sim.json",
+                   "--out-prefix", out)
+        assert code == 0
+        report = RunReport.from_json(out + "_report.json")
+        assert report.outputs["param_warm_sweeps"] >= 1
+        assert report.outputs["param_discarded_sweeps"] == 0
+        # the trace and ``iterations`` count the dense sweeps only
+        _, trace = read_table_csv(out + "_trace.csv")
+        assert trace.shape[0] == report.iterations
+
     def test_gibbs_outputs(self, problem, tmp_path):
         out = str(tmp_path / "gb")
         code = run("deblur", "--input", problem + "_noisy.csv",
