@@ -8,9 +8,7 @@
   sweeps; dense, so capacity gated. From the default start a warm stage
   first brings the factors near the fixed point with cheap sweeps: x by
   the CG solve of IAS, Cov(x) by its block-circulant approximation
-  (``operators.circulant_covariance``). The result keeps diag Cov(x);
-  ``VbState.x_cov`` inverts the last sweep's precision (dpotri) on each
-  read.
+  (``operators.circulant_covariance``). The result keeps diag Cov(x).
 * :func:`gibbs_run` - systematic-scan sampler over the same conditionals,
   with running moments of the kept draws.
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
@@ -33,8 +31,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -249,7 +245,8 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     then run to max(pcg_tol, ``_FORCING`` * that change), ``_FORCING`` = 0.1
     (a forcing term). Once a loose sweep's change is below ``tol`` every
     sweep is solved to ``pcg_tol``, and the run converges only on such a
-    tight sweep with a change below ``tol``.
+    tight sweep with a change below ``tol``, after the first: that one's
+    change is from the start (0 if an ``init`` x solves its x-system).
     """
     opts = opts or IasOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -311,7 +308,7 @@ def ias_run(y: np.ndarray, model: ModelSpec,
         rel = float(np.linalg.norm(x - x_prev)
                     / max(np.linalg.norm(x_prev), 1e-300))
         trace.append((logpost, rel, nu, lam))
-        converged = rel < opts.tol and cg_tol == opts.pcg_tol
+        converged = it > 1 and rel < opts.tol and cg_tol == opts.pcg_tol
         if converged:
             break
         tail = tail or rel < opts.tol
@@ -342,10 +339,7 @@ class VbState:
     """The mean-field factors at the end of a VB run.
 
     q(x) is Gaussian with mean ``x_mean`` and covariance Cov(x), kept as its
-    diagonal ``x_var``. ``x_cov`` forms the whole N x N matrix when it is
-    read, from the last sweep's x-system: precision ``x_nu`` * Q, where
-    ``x_precision()`` builds a fresh Q = H'H + (lambda/nu) D' W D at that
-    sweep's lambda/nu and row weights W.
+    diagonal ``x_var``.
     """
 
     x_mean: np.ndarray
@@ -360,9 +354,6 @@ class VbState:
     e_inv_r: np.ndarray  # cached E(1/r) per latent
     iterations: int
     converged: bool
-    # the last sweep's x-system, which ``x_cov`` factors again
-    x_precision: Callable[[], np.ndarray] = field(repr=False)
-    x_nu: float = field(repr=False)
     # one row per dense sweep: (relative x change, nu mean, lambda mean)
     trace: np.ndarray = field(repr=False, default=None)
     # sweeps of the circulant warm stage before the dense ones
@@ -384,19 +375,6 @@ class VbState:
     @property
     def x_std(self) -> np.ndarray:
         return np.sqrt(self.x_var)
-
-    @property
-    def x_cov(self) -> np.ndarray:
-        """Cov(x), a fresh C-ordered N x N array on every read.
-
-        Each read builds the last sweep's precision, factors it again (one
-        dense Cholesky factorisation) and inverts it by LAPACK's dpotri, all
-        in the precision's memory, so a read holds one N x N array. The
-        result equals the covariance of that sweep's factor bit for bit.
-        """
-        cov = SpdFactor(self.x_precision(), overwrite=True).inverse()
-        cov /= self.x_nu
-        return cov
 
 
 def _log_point(nu: float, lam: float, e_inv_r: np.ndarray) -> np.ndarray:
@@ -494,9 +472,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     from the rows of the inverse Cholesky factor L^{-T}. Each factor is
     formed in the memory of its precision and L^{-T} in the factor's (which
     spends it), and H'H is read from its lag table, so one N x N array is
-    live at a time. The result keeps diag Cov(x) and the last sweep's
-    x-system, not an N x N array: ``VbState.x_cov`` forms the covariance
-    when it is read.
+    live at a time. The result keeps diag Cov(x), not an N x N array.
 
     Without ``opts.init`` the run first takes a warm stage from the GCV
     start: sweeps of the same map whose x mean comes from CG
@@ -558,8 +534,7 @@ def vb_run(y: np.ndarray, model: ModelSpec,
             nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
             lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
             r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r,
-            iterations=it, converged=False,
-            x_precision=partial(x_precision, ratio, weights), x_nu=nu_mean)
+            iterations=it, converged=False)
 
     warm = 0
     if opts.init is None:

@@ -1,9 +1,8 @@
 """Inner linear-algebra kernels.
 
 Preconditioned conjugate gradients for the matrix-free MAP solves, and a
-dense Cholesky wrapper for the mean-field covariances (whole, by LAPACK's
-dpotri, or as the factor L^{-T} of ``inverse_factor``) and the sampler's
-correlated draws.
+dense Cholesky wrapper for the mean-field sweeps (``inverse_factor`` only)
+and the sampler's draws; its whole ``inverse`` stays as a dense oracle.
 """
 
 from __future__ import annotations
@@ -108,9 +107,10 @@ def pcg_solve(matvec: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
 class SpdFactor:
     """Cholesky factorisation A = L L' of a dense SPD matrix.
 
-    Provides solves, the full inverse and its factor G = L^{-T} (A^{-1} =
-    G G', ``inverse_factor``), the log-determinant, and draws from N(mean,
-    A^{-1}) via x = mean + L^{-T} z (the matrix is taken as a precision).
+    Provides solves, the factor G = L^{-T} of the inverse (A^{-1} = G G',
+    ``inverse_factor``, all the mean-field sweeps read), the whole inverse
+    (``inverse``, LAPACK's dpotri, kept as a dense oracle), the
+    log-determinant, and draws from N(mean, A^{-1}) via x = mean + G z.
 
     ``matrix`` must be symmetric: only its upper triangle is read (the lower
     triangle of its transpose, which LAPACK gets without a transposing copy

@@ -58,12 +58,13 @@ from tvbayes.operators import (
     LatticeSpec,
     check_positive,
     circulant_gram_precond,
+    dense_gram,
     gaussian_kernel,
     gcv_delta,
     gcv_scores,
     weighted_gram_matvec,
 )
-from tvbayes.solvers import pcg_solve
+from tvbayes.solvers import SpdFactor, pcg_solve
 
 
 def signal_problem(n=48, bsnr=30.0, seed=0, prior=None, kernel=(7, 1.75)):
@@ -423,6 +424,20 @@ class TestIasRuns:
         assert res.iterations <= 200
         assert rel(res.x) <= 0.5 * rel(y)
 
+    def test_first_sweep_never_converges(self):
+        # criterion 8's problem from a start whose x already solves the
+        # first x-system: CG takes no step and that sweep's x change is 0,
+        # but it is measured from the start, not from a sweep's output, so
+        # the run goes on to the default run's fixed point
+        model, _, y = signal_problem(n=32, bsnr=30.0, seed=8,
+                                     kernel=(5, 1.25))
+        init = initial_state(y, model)
+        init.x = conditional_params(init, y, model, "x").mean
+        res = ias_run(y, model, IasOptions(init=init))
+        assert res.trace[0, 1] == 0.0
+        assert res.converged and res.iterations > 1
+        assert res.lam == pytest.approx(ias_run(y, model).lam, rel=1e-3)
+
     def test_trace_length_matches_iterations(self):
         model, _, y = signal_problem()
         res = ias_run(y, model)
@@ -686,28 +701,30 @@ class TestDenseGram:
 
     def test_nu_rate_trace_identity(self):
         # VB's nu rate takes tr(H'H Cov(x)) from the x-system identity; the
-        # direct N x N trace is the oracle, at VB's own last state. The
-        # dominated case fixes nu at the H'y start's nu0 for its problem, so
-        # lambda0 does not follow the default start
+        # direct N x N trace is the oracle, over one sweep from VB's own
+        # fixed point. The dominated case fixes nu at the H'y start's nu0
+        # for its problem, so lambda0 does not follow the default start
         dominated = image_problem(k=8)
         init = initial_state(dominated[2], dominated[0])
         init.nu = 129.60533171527604
         init.lam = 1e4 * init.nu
         cases = [
-            (signal_problem(n=32), VbOptions()),
+            (signal_problem(n=32), None),
             (image_problem(k=6, seed=21, prior=StudentTV(2.0),
-                           hyper=STABLE_HYPER), VbOptions()),  # a = 0
+                           hyper=STABLE_HYPER), None),  # a = 0
             (image_problem(k=6, seed=21, prior=Laplace2D(),
-                           hyper=STABLE_HYPER), VbOptions()),  # pooled rows
-            (dominated, VbOptions(maxit=1, init=init)),  # lambda/nu = 1e4
+                           hyper=STABLE_HYPER), None),  # pooled rows
+            (dominated, init),  # lambda/nu = 1e4
         ]
         worst = 0.0
-        for (model, _, y), opts in cases:
-            res = vb_run(y, model, opts)
+        for (model, _, y), start in cases:
+            if start is None:
+                start = vb_next_start(vb_run(y, model))
+            res, cov = vb_sweep_with_cov(y, model, start)
             hd = model.blur.to_dense()
             resid = y - hd @ res.x_mean
             direct = 0.5 * (float(resid @ resid)
-                            + float(np.sum(res.x_cov * (hd.T @ hd)))) \
+                            + float(np.sum(cov * (hd.T @ hd)))) \
                 + model.hyper.beta_nu
             worst = max(worst, abs(res.nu_rate - direct) / direct)
         print(f"worst relative nu-rate difference {worst:.2e}")
@@ -715,12 +732,11 @@ class TestDenseGram:
 
 
 class TestVbCovariance:
-    """A VB sweep reads diag(D Cov(x) D') and diag Cov(x) from L^{-T}; the
-    result keeps diag Cov(x), and ``x_cov`` forms Cov(x) on each read by
-    dpotri, in the memory of a fresh factor of the last sweep's precision."""
+    """A VB sweep reads diag(D Cov(x) D') and diag Cov(x) from L^{-T}, and
+    the result keeps diag Cov(x); the dense inverse of the sweep's
+    precision is the oracle."""
 
     def test_inverse_factor_per_sweep_gram_once(self, monkeypatch):
-        from tvbayes.solvers import SpdFactor
         calls = {"inverse_factor": 0, "inverse": 0}
 
         def counted(name, fn):
@@ -736,47 +752,32 @@ class TestVbCovariance:
         res = vb_run(y, model)
         assert res.iterations > 1
         assert calls == {"inverse_factor": res.iterations, "inverse": 0}
-        # each read of x_cov factors the last sweep's precision again and
-        # inverts it in that memory
-        for reads in (1, 2):
-            res.x_cov
-            assert calls == {"inverse_factor": res.iterations,
-                             "inverse": reads}
 
-    @pytest.mark.parametrize("prior", [LaplaceTV(), Laplace2D()])
-    def test_one_sweep_x_cov(self, prior):
-        from tvbayes.operators import dense_gram
-        from tvbayes.solvers import SpdFactor
-        model, _, y = image_problem(k=6, prior=prior)
-        s = initial_state(y, model)
-        res = vb_run(y, model, VbOptions(maxit=1, init=s))
-        w0 = 0.5 * model.latents_to_rows(1.0 / s.r)
-        q = dense_gram(model.blur, model.diff)(s.lam / s.nu, w0)
-        assert np.array_equal(res.x_cov, SpdFactor(q).inverse() / s.nu)
-
-    @pytest.mark.parametrize("problem", [
-        lambda: signal_problem(),
-        lambda: image_problem(k=8),
-        lambda: image_problem(k=6, seed=21, prior=Laplace2D(),
-                              hyper=STABLE_HYPER),
-    ], ids=["signal", "image", "pooled"])
-    def test_x_var_is_the_covariance_diagonal(self, problem):
+    # one sweep from VB's fixed point, or from the default start
+    @pytest.mark.parametrize("problem, fixed_point", [
+        (lambda: signal_problem(), True),
+        (lambda: image_problem(k=8), True),
+        (lambda: image_problem(k=6, seed=21, prior=Laplace2D(),
+                               hyper=STABLE_HYPER), True),
+        (lambda: image_problem(k=6, prior=LaplaceTV()), False),
+        (lambda: image_problem(k=6, prior=Laplace2D()), False),
+    ], ids=["signal", "image", "pooled", "start-laplace-tv",
+            "start-laplace-2d"])
+    def test_x_var_is_the_covariance_diagonal(self, problem, fixed_point):
         model, _, y = problem()
-        res = vb_run(y, model)
-        cov = res.x_cov
+        start = (vb_next_start(vb_run(y, model)) if fixed_point
+                 else initial_state(y, model))
+        res, cov = vb_sweep_with_cov(y, model, start)
         np.testing.assert_allclose(res.x_var, np.diag(cov), rtol=1e-12)
         np.testing.assert_allclose(res.x_std, np.sqrt(np.diag(cov)),
                                    rtol=1e-12)
-        # a read hands out a fresh array: writing to it changes no later read
-        cov[:] = 0.0
-        np.testing.assert_allclose(res.x_var, np.diag(res.x_cov), rtol=1e-12)
 
 
 class TestDenseFootprint:
     """VB and Gibbs keep one N x N array live: the sweep's precision, which
     becomes its factor and, in VB, L^{-T}. H'H is read from its 4N-float
-    lag table. A VB result holds no N x N array, and a read of its
-    ``x_cov`` and the x-conditional of ``conditional_params`` peak at one."""
+    lag table. A VB result holds no N x N array, and the x-conditional of
+    ``conditional_params`` peaks at one."""
 
     RUNS = {"vb": lambda y, model: vb_run(y, model),
             "gibbs": lambda y, model: gibbs_run(
@@ -817,20 +818,6 @@ class TestDenseFootprint:
             tracemalloc.stop()
         assert res.iterations > 1
         assert (live - start) / (8 * model.n_pixels ** 2) < 0.05
-
-    def test_x_cov_read_peak_one_dense_array(self):
-        model, _, y = image_problem(k=24)
-        res = vb_run(y, model)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            cov = res.x_cov
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cov.shape == (model.n_pixels,) * 2
-        assert (peak - start) / (8 * model.n_pixels ** 2) <= 1.25
 
     def test_conditional_params_x_peak_one_dense_array(self):
         model, _, y = image_problem(k=24)
@@ -890,12 +877,6 @@ class TestVb:
         assert res.converged
         assert psnr(res.x_mean) > psnr(y) + 5.0
 
-    def test_covariance_c_ordered_and_symmetric(self):
-        for model, _, y in (signal_problem(n=32), image_problem(k=8)):
-            cov = vb_run(y, model).x_cov
-            assert cov.flags.c_contiguous
-            assert np.array_equal(cov, cov.T)
-
     def test_capacity_gate(self):
         lattice = LatticeSpec(80, 80)
         model = ModelSpec.build(lattice, gaussian_kernel(3, 0.75))
@@ -926,11 +907,13 @@ class TestVb:
         # the gamma-factor rates are expectations under the other factors;
         # recompute them at the fixed point by sampling x ~ q(x), r ~ q(r)
         model, truth, y = signal_problem(n=32, kernel=(5, 1.25))
-        res = vb_run(y, model, VbOptions(tol=1e-9, maxit=1000))
-        assert res.converged
+        fixed = vb_run(y, model, VbOptions(tol=1e-9, maxit=1000))
+        assert fixed.converged
+        # the factors of one more sweep, whose Cov(x) the oracle gives
+        res, cov = vb_sweep_with_cov(y, model, vb_next_start(fixed))
         rng = np.random.default_rng(41)
         n_mc = 200_000
-        chol = np.linalg.cholesky(res.x_cov)
+        chol = np.linalg.cholesky(cov)
         xs = res.x_mean + rng.standard_normal((n_mc, 32)) @ chol.T
         # E ||y - Hx||^2 over q(x)
         hd = model.blur.to_dense()
@@ -953,6 +936,16 @@ def vb_next_start(res):
     """The start state of the VB map's next sweep after ``res``."""
     return LatentState(res.x_mean, res.nu_mean, res.lam_mean,
                        1.0 / res.e_inv_r)
+
+
+def vb_sweep_with_cov(y, model, s):
+    """One dense VB sweep from state ``s``, and its Cov(x) formed densely:
+    the inverse of the precision nu Q that the sweep factored, Q = H'H +
+    (lambda/nu) D'WD with W = E(R^{-2}) at ``s``."""
+    res = vb_run(y, model, VbOptions(maxit=1, init=s))
+    weights = 0.5 * model.latents_to_rows(1.0 / s.r)
+    q = dense_gram(model.blur, model.diff)(s.lam / s.nu, weights)
+    return res, SpdFactor(q).inverse() / s.nu
 
 
 def vb_plain_map(y, model, tol, maxit=1000):
