@@ -333,7 +333,9 @@ def _cmd_deblur(args) -> int:
         extra = {"nu_shape": res.nu_shape, "nu_rate": res.nu_rate,
                  "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate,
                  "warm_sweeps": res.warm_sweeps,
-                 "discarded_sweeps": res.discarded_sweeps}
+                 "discarded_sweeps": res.discarded_sweeps,
+                 "discarded_error": res.discarded_error,
+                 "discarded_mode": res.discarded_mode}
     elif args.method == "gibbs":
         res = gibbs_run(y, model, GibbsOptions(
             seed=args.seed, samples=args.samples, burn_in=args.burn_in))

@@ -4,11 +4,12 @@
   mode of its full conditional in turn (x by a preconditioned CG solve, nu
   and lambda by closed gamma modes, the latent scales by the GIG mode).
 * :func:`vb_run` - mean-field approximation q(x) q(nu) q(lambda) prod q(r),
-  cycled to a fixed point, which SQUAREM extrapolation reaches in fewer
-  sweeps; dense, so capacity gated. From the default start a warm stage
-  first brings the factors near the fixed point with cheap sweeps: x by
-  the CG solve of IAS, Cov(x) by its block-circulant approximation
-  (``operators.circulant_covariance``). The result keeps diag Cov(x).
+  cycled to a fixed point by one SQUAREM-accelerated loop; dense, so
+  capacity gated. From the default start the loop first runs a warm stage
+  of cheap sweeps, x by the CG solve of IAS and Cov(x) by its
+  block-circulant approximation (``operators.circulant_covariance``),
+  then the dense sweeps from its last output. The result keeps diag
+  Cov(x).
 * :func:`gibbs_run` - systematic-scan sampler over the same conditionals,
   with running moments of the kept draws.
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
@@ -358,8 +359,9 @@ class VbState:
     trace: np.ndarray = field(repr=False, default=None)
     # sweeps of the circulant warm stage before the dense ones
     warm_sweeps: int = 0
-    # extrapolated sweeps whose result was thrown away, and the last one's
-    # error: its class name and, for a DivergenceError, its mode
+    # extrapolated sweeps of either stage whose result was thrown away, and
+    # the last one's error: its class name and, for a DivergenceError, its
+    # mode
     discarded_sweeps: int = 0
     discarded_error: str | None = None
     discarded_mode: str | None = None
@@ -411,15 +413,16 @@ def _squarem_point(cycle: list[np.ndarray], step_max: float,
     return (float(point[0]), float(point[1]), point[2:]), step_max
 
 
-def _vb_factors(x_mean: np.ndarray, row_var: np.ndarray, tr_hhs: float,
-                weights: np.ndarray, y: np.ndarray, model: ModelSpec,
-                it: int) -> tuple[GammaParams, GammaParams, np.ndarray,
-                                  np.ndarray]:
-    """The nu, lambda and latent-scale factors of VB sweep ``it`` from its
-    x factor, whose x-system was built with row weights W = E(R^{-2}): the
-    mean, the variances diag(D S D') of the difference rows and tr(H'H S),
-    S = Cov(x). Returns the nu and lambda factors and, per latent, the GIG
-    b' and E(1/r). Dense and warm sweeps both update through here."""
+def _vb_update(x_factor, y: np.ndarray, model: ModelSpec, nu: float,
+               lam: float, e_inv_r: np.ndarray, x: np.ndarray,
+               it: int) -> VbState:
+    """VB sweep ``it`` from the means (nu, lambda, E(1/r)) and the last x
+    mean ``x``. ``x_factor(nu, lam, weights, x)`` gives, for row weights W =
+    E(R^{-2}), the x mean, diag Cov(x) (None in a warm sweep), the
+    variances diag(D S D') of the difference rows and tr(H'H S), S =
+    Cov(x); the nu, lambda and latent-scale factors follow from these."""
+    weights = 0.5 * model.latents_to_rows(e_inv_r)
+    x_mean, x_var, row_var, tr_hhs = x_factor(nu, lam, weights, x)
     sq_resid, dx2 = x_statistics(x_mean, y, model)
     e_dx2 = dx2 + row_var
     # E||y - Hx||^2 = ||y - H E(x)||^2 + tr(H'H S)
@@ -430,35 +433,65 @@ def _vb_factors(x_mean: np.ndarray, row_var: np.ndarray, tr_hhs: float,
     lam_cond = lambda_conditional(float(np.sum(e_dx2 * weights)), model)
     _check_lambda(lam_cond.mean, it)
 
+    a, p_cond = model.prior.mixing.a, model.r_conditional_index
     r_b = r_conditional_b(e_dx2, lam_cond.mean, model)
-    e_inv_r = check_positive(
-        gig_inv_moment_batch(model.prior.mixing.a, r_b,
-                             model.r_conditional_index), "e_inv_r", it)
-    return nu_cond, lam_cond, r_b, e_inv_r
+    e_inv_r = check_positive(gig_inv_moment_batch(a, r_b, p_cond),
+                             "e_inv_r", it)
+    return VbState(
+        x_mean=x_mean, x_var=x_var,
+        nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
+        lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
+        r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r,
+        iterations=it, converged=False)
 
 
-def _vb_warm_stage(y: np.ndarray, hty: np.ndarray, model: ModelSpec,
-                   state: LatentState) -> tuple[LatentState, int]:
-    """VB's warm stage from ``state`` (see :func:`vb_run`), for checked data
-    y and its H'y: the point the dense sweeps start from, as a state with x
-    the last warm sweep's mean and r = 1 / E(1/r), and the number of warm
-    sweeps."""
-    stats = circulant_covariance(model.blur, model.diff)
-    x, nu, lam, e_inv_r = state.x, state.nu, state.lam, 1.0 / state.r
-    for it in range(1, _WARM_MAXIT + 1):
-        weights = 0.5 * model.latents_to_rows(e_inv_r)
-        x_next = _gram_solve(model.blur, model.diff, lam / nu, weights, hty,
-                             _WARM_PCG_TOL, x)
-        row_var, tr_hhs = stats(nu, lam * float(np.mean(weights)))
-        nu_cond, lam_cond, _, e_inv_r = _vb_factors(
-            x_next, row_var, tr_hhs, weights, y, model, it)
-        nu, lam = nu_cond.mean, lam_cond.mean
-        rel = float(np.linalg.norm(x_next - x)
+def _vb_loop(x_factor, y: np.ndarray, model: ModelSpec, point: tuple,
+             x: np.ndarray, tol: float, maxit: int,
+             thrown: list) -> tuple[VbState, list, bool]:
+    """SQUAREM-S3 on the VB map of :func:`_vb_update` with ``x_factor``,
+    from the means ``point`` = (nu, lambda, E(1/r)) and the x mean ``x``
+    (see :func:`vb_run`). Returns the last kept sweep's output, one trace
+    row per sweep run, and whether the loop converged; a thrown-away
+    sweep's error class name and divergence mode go onto ``thrown``."""
+    # theta at the input of this cycle's first plain sweep, then at each
+    # plain sweep's output
+    cycle = [_log_point(*point)]
+    step_max, trace, converged, last = 1.0, [], False, None
+    while len(trace) < maxit:
+        it = len(trace) + 1
+        # the last sweep's output, which the run goes on from
+        kept, extrapolated = point, len(cycle) == 3
+        if extrapolated:
+            point, step_max = _squarem_point(cycle, step_max, kept)
+            cycle = cycle[2:]
+            if point is None:
+                point = kept
+                continue
+        # an extrapolated sweep's float overflow raises, to be thrown away
+        guard = (np.errstate(over="raise", invalid="raise", divide="raise")
+                 if extrapolated else contextlib.nullcontext())
+        try:
+            with guard:
+                out = _vb_update(x_factor, y, model, *point, x, it)
+        except (TvBayesError, FloatingPointError) as err:
+            if not extrapolated:
+                raise
+            trace.append((0.0, *kept[:2]))
+            point = kept
+            thrown.append((type(err).__name__, getattr(err, "mode", None)))
+            continue
+        rel = float(np.linalg.norm(out.x_mean - x)
                     / max(np.linalg.norm(x), 1e-300))
-        x = x_next
-        if rel < _WARM_TOL:
+        # x is this loop's output only once one of its sweeps has run
+        converged = last is not None and point is kept and rel < tol
+        last, x = out, out.x_mean
+        point = out.nu_mean, out.lam_mean, out.e_inv_r
+        trace.append((rel, *point[:2]))
+        if converged:
             break
-    return LatentState(x=x, nu=nu, lam=lam, r=1.0 / e_inv_r), it
+        theta = _log_point(*point)
+        cycle = [theta] if extrapolated else cycle + [theta]
+    return last, trace, converged
 
 
 def vb_run(y: np.ndarray, model: ModelSpec,
@@ -474,34 +507,33 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     spends it), and H'H is read from its lag table, so one N x N array is
     live at a time. The result keeps diag Cov(x), not an N x N array.
 
-    Without ``opts.init`` the run first takes a warm stage from the GCV
-    start: sweeps of the same map whose x mean comes from CG
-    (:func:`_gram_solve`, to ``_WARM_PCG_TOL``) and whose row variances and
-    tr(H'H Cov(x)) come from the block-circulant covariance at the mean row
-    weight (``operators.circulant_covariance``). It ends at the first sweep
-    whose relative x change is below ``_WARM_TOL`` = 1e-2, or after
-    ``_WARM_MAXIT`` sweeps, and the dense sweeps start from its output.
-    ``warm_sweeps`` counts these sweeps; a typed error in one propagates,
-    naming its warm sweep as the iteration. With ``opts.init`` the dense
-    sweeps start at once.
+    A sweep is the VB map on theta = (log nu, log lambda, log E(1/r)). One
+    loop (:func:`_vb_loop`) drives it with SQUAREM-S3 (Varadhan & Roland,
+    Scand. J. Stat. 2008) in cycles of three sweeps: two plain ones from
+    theta0, then one at the point extrapolated from their outputs (see
+    :func:`_squarem_point`), whose output is the next cycle's theta0. When
+    that point is not positive finite the sweep is not run, and when its
+    sweep raises a :class:`TvBayesError` or meets a float overflow, invalid
+    value or division by zero its result is thrown away; either way the
+    loop goes on from the second plain sweep's output. A typed error in any
+    other sweep propagates, naming that sweep of its stage as the
+    iteration. The loop stops after its sweep cap, or on a plain sweep whose
+    input is its previous sweep's output with a relative x change below its
+    tolerance, so never on its first sweep.
 
-    A dense sweep is the VB map on theta = (log nu, log lambda, log E(1/r)),
-    and SQUAREM-S3 (Varadhan & Roland, Scand. J. Stat. 2008) drives it in
-    cycles of three sweeps: two plain ones from theta0, then one at the
-    point extrapolated from their outputs (see :func:`_squarem_point`),
-    whose output is the next cycle's theta0. When that point is not
-    positive finite the sweep is not run, and when its sweep raises a
-    :class:`TvBayesError` or meets a float overflow, invalid value or
-    division by zero its result is thrown away; either way the run goes on
-    from the second plain sweep's output. ``discarded_sweeps`` counts the
-    thrown-away results, and ``discarded_error``/``discarded_mode`` name
-    the last one's error. A typed error in any other sweep propagates.
-    ``iterations`` and ``trace`` count every dense sweep run, one row each;
-    a thrown-away sweep's row repeats the kept nu and lambda with an x
-    change of 0. ``converged`` is set on a plain sweep whose input is the
-    previous dense sweep's output, with a relative x change below ``tol``;
-    so the first dense sweep, whose x change is measured from the start or
-    the warm stage's CG solution, never sets it.
+    The loop runs twice. Without ``opts.init`` a warm stage comes first,
+    from the GCV start, to ``_WARM_TOL`` = 1e-2 or ``_WARM_MAXIT`` sweeps:
+    its x mean comes from CG (:func:`_gram_solve`, to ``_WARM_PCG_TOL``,
+    from the last x mean) and its row variances and tr(H'H Cov(x)) from
+    the block-circulant covariance at the mean row weight
+    (``operators.circulant_covariance``). The dense stage then runs to
+    ``opts.tol`` or ``opts.maxit`` sweeps from the warm stage's last output
+    exactly (its means and x mean), or at once from ``opts.init``.
+    ``warm_sweeps`` counts the warm sweeps run, and ``iterations``,
+    ``trace`` (one row each) and ``converged`` the dense ones; a
+    thrown-away sweep's row repeats the kept nu and lambda with an x change
+    of 0. ``discarded_sweeps`` counts the thrown-away results of both
+    stages, and ``discarded_error``/``discarded_mode`` name the last one's.
     """
     opts = opts or VbOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:
@@ -509,85 +541,41 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     N = model.n_pixels
     x_precision = dense_gram(model.blur, model.diff)
     y, init, hty = _start(y, model, opts.init)
-    a, p_cond = model.prior.mixing.a, model.r_conditional_index
 
-    def sweep(nu_mean: float, lam_mean: float, e_inv_r: np.ndarray,
-              it: int) -> VbState:
-        """The dense VB map: every factor updated once from the input
-        means, as a run that ends with sweep ``it``."""
-        weights = 0.5 * model.latents_to_rows(e_inv_r)
-        ratio = lam_mean / nu_mean
-        factor = SpdFactor(x_precision(ratio, weights), overwrite=True)
+    # the two stages' x factors, see _vb_update
+    def dense(nu: float, lam: float, weights: np.ndarray, x: np.ndarray):
+        factor = SpdFactor(x_precision(lam / nu, weights), overwrite=True)
         x_mean = factor.solve(hty)
         row_var, x_var = model.diff.factor_row_quadratic(
             factor.inverse_factor())
-        row_var /= nu_mean
-        x_var /= nu_mean
+        row_var /= nu
+        x_var /= nu
         # with the nu, lambda that built this sweep's factor, S (nu H'H +
         # lambda D'WD) = I, so tr(H'H S) = (N - lambda sum_i w_i (D S D')_ii)
         # / nu
-        tr_hhs = (N - lam_mean * float(np.sum(weights * row_var))) / nu_mean
-        nu_cond, lam_cond, r_b, e_inv_r = _vb_factors(
-            x_mean, row_var, tr_hhs, weights, y, model, it)
-        return VbState(
-            x_mean=x_mean, x_var=x_var,
-            nu_shape=nu_cond.shape, nu_rate=nu_cond.rate,
-            lam_shape=lam_cond.shape, lam_rate=lam_cond.rate,
-            r_a=a, r_b=r_b, r_p=p_cond, e_inv_r=e_inv_r,
-            iterations=it, converged=False)
+        return (x_mean, x_var, row_var,
+                (N - lam * float(np.sum(weights * row_var))) / nu)
 
-    warm = 0
+    def warm(nu: float, lam: float, weights: np.ndarray, x: np.ndarray):
+        return (_gram_solve(model.blur, model.diff, lam / nu, weights, hty,
+                            _WARM_PCG_TOL, x),
+                None, *stats(nu, lam * float(np.mean(weights))))
+
+    point, x = (init.nu, init.lam, 1.0 / init.r), init.x
+    thrown, warm_trace = [], []
     if opts.init is None:
-        init, warm = _vb_warm_stage(y, hty, model, init)
-    point = (init.nu, init.lam, 1.0 / init.r)
-    x_prev = init.x
-    # theta at the input of this cycle's first plain sweep, then at each
-    # plain sweep's output
-    cycle = [_log_point(*point)]
-    step_max, trace, converged = 1.0, [], False
-    # the last dense sweep's output; the thrown-away sweeps and their last
-    # error
-    last, discarded, thrown = None, 0, None
-    while len(trace) < opts.maxit:
-        it = len(trace) + 1
-        # the last sweep's output, which the run goes on from
-        kept, extrapolated = point, len(cycle) == 3
-        if extrapolated:
-            point, step_max = _squarem_point(cycle, step_max, kept)
-            cycle = cycle[2:]
-            if point is None:
-                point = kept
-                continue
-        # an extrapolated sweep's float overflow raises, to be thrown away
-        guard = (np.errstate(over="raise", invalid="raise", divide="raise")
-                 if extrapolated else contextlib.nullcontext())
-        try:
-            with guard:
-                out = sweep(*point, it)
-        except (TvBayesError, FloatingPointError) as err:
-            if not extrapolated:
-                raise
-            trace.append((0.0, *kept[:2]))
-            point, discarded, thrown = kept, discarded + 1, err
-            continue
-        rel = float(np.linalg.norm(out.x_mean - x_prev)
-                    / max(np.linalg.norm(x_prev), 1e-300))
-        # x_prev is a dense sweep's x only once one has run
-        converged = last is not None and point is kept and rel < opts.tol
-        last, x_prev = out, out.x_mean
-        point = out.nu_mean, out.lam_mean, out.e_inv_r
-        trace.append((rel, *point[:2]))
-        if converged:
-            break
-        theta = _log_point(*point)
-        cycle = [theta] if extrapolated else cycle + [theta]
-
+        stats = circulant_covariance(model.blur, model.diff)
+        out, warm_trace, _ = _vb_loop(warm, y, model, point, x, _WARM_TOL,
+                                      _WARM_MAXIT, thrown)
+        point, x = (out.nu_mean, out.lam_mean, out.e_inv_r), out.x_mean
+    out, trace, converged = _vb_loop(dense, y, model, point, x, opts.tol,
+                                     opts.maxit, thrown)
+    error, mode = thrown[-1] if thrown else (None, None)
     return replace(
-        last, iterations=len(trace), converged=converged,
-        trace=np.asarray(trace), warm_sweeps=warm,
-        discarded_sweeps=discarded,
-        discarded_error=None if thrown is None else type(thrown).__name__,
-        discarded_mode=getattr(thrown, "mode", None))
+        out, iterations=len(trace), converged=converged,
+        trace=np.asarray(trace), warm_sweeps=len(warm_trace),
+        discarded_sweeps=len(thrown), discarded_error=error,
+        discarded_mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -653,8 +653,18 @@ def gcv_scores(blur: BlurOperator, diff: DiffOperator,
 
 
 def gcv_delta(blur: BlurOperator, diff: DiffOperator, y: np.ndarray) -> float:
-    """The weight of ``GCV_DELTAS`` with the least ``gcv_scores`` score."""
-    return float(GCV_DELTAS[np.argmin(gcv_scores(blur, diff, y))])
+    """The weight of ``GCV_DELTAS`` at the least interior local minimum of
+    the ``gcv_scores`` score, a score no higher than either neighbour's;
+    at the least score only when there is none. On some data the score
+    falls all the way to the grid's lower edge, whose solution fits the
+    noise, past an interior minimum that does not."""
+    scores = gcv_scores(blur, diff, y)
+    inner = scores[1:-1]
+    interior = np.r_[False, (inner <= scores[:-2]) & (inner <= scores[2:]),
+                     False]
+    if interior.any():
+        scores[~interior] = np.inf
+    return float(GCV_DELTAS[np.argmin(scores)])
 
 
 def validate_rank_condition(blur: BlurOperator, diff: DiffOperator) -> bool:

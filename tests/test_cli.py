@@ -154,6 +154,12 @@ class TestDeblur:
         report = RunReport.from_json(out + "_report.json")
         assert report.outputs["param_warm_sweeps"] >= 1
         assert report.outputs["param_discarded_sweeps"] == 0
+        # with nothing thrown away the error is written as JSON null, not
+        # left out
+        with open(out + "_report.json", encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+        for key in ("param_discarded_error", "param_discarded_mode"):
+            assert key in outputs and outputs[key] is None
         # the trace and ``iterations`` count the dense sweeps only
         _, trace = read_table_csv(out + "_trace.csv")
         assert trace.shape[0] == report.iterations

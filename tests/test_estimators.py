@@ -97,6 +97,21 @@ def hty_start(y, model):
     return LatentState(x0, model.n_pixels / sq_resid, lam0, r0)
 
 
+def update_spy(monkeypatch):
+    """Records every VB sweep that returns, in order, as ((nu, lambda,
+    E(1/r), x, iteration) at its input, its output); a warm sweep's output
+    has no ``x_var``."""
+    calls = []
+
+    def update(x_factor, y, model, *point, _fn=est._vb_update):
+        out = _fn(x_factor, y, model, *point)
+        calls.append((point, out))
+        return out
+
+    monkeypatch.setattr(est, "_vb_update", update)
+    return calls
+
+
 def random_blocks(k, rng):
     """Random piecewise-constant image: a few rectangles on a background."""
     img = np.full((k, k), 0.1)
@@ -172,18 +187,26 @@ class TestInitialState:
                 np.testing.assert_array_equal(getattr(res, name),
                                               getattr(want, name))
 
-    def test_vb_and_gibbs_start_from_initial_state(self):
+    def test_vb_and_gibbs_start_from_initial_state(self, monkeypatch):
         model, _, y = signal_problem()
+        calls = update_spy(monkeypatch)
         res = vb_run(y, model)
-        # the dense sweeps start where the warm stage from the GCV start ends
-        warm, sweeps = est._vb_warm_stage(y, model.blur.rmatvec(y), model,
-                                          initial_state(y, model))
-        want = vb_run(y, model, VbOptions(init=warm))
-        assert res.warm_sweeps == sweeps >= 1
-        assert want.warm_sweeps == 0
-        for name in ("x_mean", "x_var", "trace"):
-            np.testing.assert_array_equal(getattr(res, name),
-                                          getattr(want, name))
+        assert res.warm_sweeps >= 1 and res.discarded_sweeps == 0
+        assert len(calls) == res.warm_sweeps + res.iterations
+        # the warm stage starts from the GCV start
+        start = initial_state(y, model)
+        nu, lam, e_inv_r, x, it = calls[0][0]
+        assert (nu, lam, it) == (start.nu, start.lam, 1)
+        np.testing.assert_array_equal(e_inv_r, 1.0 / start.r)
+        np.testing.assert_array_equal(x, start.x)
+        # and the dense sweeps start where it ends, bit for bit
+        warm = calls[res.warm_sweeps - 1][1]
+        nu, lam, e_inv_r, x, it = calls[res.warm_sweeps][0]
+        assert warm.x_var is None
+        assert calls[res.warm_sweeps][1].x_var is not None
+        assert (nu, lam, it) == (warm.nu_mean, warm.lam_mean, 1)
+        np.testing.assert_array_equal(e_inv_r, warm.e_inv_r)
+        np.testing.assert_array_equal(x, warm.x_mean)
         opts = GibbsOptions(seed=3, samples=20, burn_in=5)
         chain = gibbs_run(y, model, opts)
         want = gibbs_run(y, model, replace(opts, init=initial_state(y, model)))
@@ -287,6 +310,18 @@ class TestGcvStart:
         np.testing.assert_array_equal(
             initial_state(y, model).x,
             tikhonov_baseline(y, model.blur, model.diff, delta))
+
+    @pytest.mark.parametrize("n, seed, log_delta", [(64, 5, -3.5),
+                                                     (32, 22, -8.0)])
+    def test_least_interior_minimum_before_the_edge(self, n, seed,
+                                                    log_delta):
+        # 1-D blocky at 30 dB: at N=64, seed 5 the score is least at the
+        # lower edge, 1e-8, but has an interior local minimum, which is
+        # taken; at N=32, seed 22 it has none, and the edge is taken
+        model, _, y = signal_problem(n=n, bsnr=30.0, seed=seed)
+        assert np.argmin(gcv_scores(model.blur, model.diff, y)) == 0
+        assert gcv_delta(model.blur, model.diff, y) == pytest.approx(
+            10.0 ** log_delta, rel=1e-12)
 
     def test_grid_is_quarter_decades(self):
         np.testing.assert_allclose(np.log10(GCV_DELTAS),
@@ -877,6 +912,16 @@ class TestVb:
         assert res.converged
         assert psnr(res.x_mean) > psnr(y) + 5.0
 
+    @pytest.mark.parametrize("seed", [5, 14])
+    def test_beats_the_noisy_input_where_gcv_falls_to_the_edge(self, seed):
+        # 1-D blocky, N=64, 30 dB: the GCV score's least value is at the
+        # grid's lower edge, whose start fits the noise; from there VB
+        # reported converged at -0.65 dB (seed 5) and -3.56 dB (seed 14)
+        model, truth, y = signal_problem(n=64, bsnr=30.0, seed=seed)
+        res = vb_run(y, model)
+        assert res.converged
+        assert metrics(res.x_mean, truth)["psnr"] > metrics(y, truth)["psnr"]
+
     def test_capacity_gate(self):
         lattice = LatticeSpec(80, 80)
         model = ModelSpec.build(lattice, gaussian_kernel(3, 0.75))
@@ -1051,11 +1096,15 @@ class TestVbAcceleration:
         # the second cycle's extrapolation (the first with step_max > 1)
         # either leaves the float range, log lambda' > 700, and its sweep
         # is not run, or lands at nu' = 1e-300, lambda' = 1e300, where the
-        # sweep's lambda/nu overflows and is thrown away; neither may warn
+        # sweep's lambda/nu overflows and is thrown away; neither may warn.
+        # Only the dense stage's extrapolations count: the warm stage's
+        # come before the first factorisation
         import warnings
         seen = []
 
         def extrapolate(cycle, step_max, kept, _fn=est._squarem_point):
+            if factors["count"] == 0:
+                return _fn(cycle, step_max, kept)
             seen.append(len(seen) + 1)
             if len(seen) != 2:
                 return _fn(cycle, step_max, kept)
@@ -1154,14 +1203,14 @@ class TestVbWarmStage:
         truth = (rng.uniform(size=model.n_pixels) > 0.5).astype(float)
         y, _ = add_noise_bsnr(model.blur.matvec(truth), 30.0, rng)
         init = initial_state(y, model)
-        monkeypatch.setattr(est, "_WARM_MAXIT", 1)
-        warm, sweeps = est._vb_warm_stage(y, model.blur.rmatvec(y), model,
-                                          init)
         dense = vb_run(y, model, VbOptions(maxit=1, init=init))
-        assert sweeps == 1
-        assert warm.nu == pytest.approx(dense.nu_mean, rel=1e-10)
-        assert warm.lam == pytest.approx(dense.lam_mean, rel=1e-10)
-        np.testing.assert_allclose(1.0 / warm.r, dense.e_inv_r, rtol=1e-10)
+        calls = update_spy(monkeypatch)
+        vb_run(y, model, VbOptions(maxit=1))
+        (*_, it), warm = calls[0]
+        assert it == 1 and warm.x_var is None
+        assert warm.nu_mean == pytest.approx(dense.nu_mean, rel=1e-10)
+        assert warm.lam_mean == pytest.approx(dense.lam_mean, rel=1e-10)
+        np.testing.assert_allclose(warm.e_inv_r, dense.e_inv_r, rtol=1e-10)
 
     def test_first_dense_sweep_never_converges(self):
         # a start whose x is the first dense sweep's own x mean: that
@@ -1177,7 +1226,7 @@ class TestVbWarmStage:
                                              rel=1e-4)
 
     def test_thrown_away_sweep_keeps_its_error(self):
-        # StudentTV(2) on the 32 x 32 blocks42 image, noise seed 29: one
+        # StudentTV(2) on the 32 x 32 blocks42 image, noise seed 26: one
         # extrapolated sweep takes lambda past the 1e12 guard; the run goes
         # on from the kept point and records the guard's diagnosis
         lattice = LatticeSpec(32, 32)
@@ -1185,7 +1234,7 @@ class TestVbWarmStage:
                                 prior=StudentTV(2.0))
         truth = lattice.to_stacked(make_image_2d("blocks42", 32))
         y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0,
-                              np.random.default_rng(29))
+                              np.random.default_rng(26))
         res = vb_run(y, model)
         assert res.converged
         assert (res.discarded_sweeps, res.discarded_error,
