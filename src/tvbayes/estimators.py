@@ -23,8 +23,9 @@ mixing-prior mean and lambda at the mode of its conditional given those.
 IAS alone still starts x from the adjoint H'y of the data (see
 :func:`ias_run`). Each run forms H'y once; it is also the right-hand side
 of the x-systems. All three engines apply one divergence guard, to the
-starting lambda and after every lambda update: outside ``LAMBDA_BOUNDS``
-they raise :class:`DivergenceError`.
+starting lambda, after every lambda update and, in VB, to each
+extrapolated lambda: outside ``LAMBDA_BOUNDS`` they raise
+:class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -472,6 +473,9 @@ def _vb_loop(x_factor, y: np.ndarray, model: ModelSpec, point: tuple,
                  if extrapolated else contextlib.nullcontext())
         try:
             with guard:
+                # only an extrapolated point can be past the lambda guard
+                # here; its sweep is not run
+                _check_lambda(point[1], it)
                 out = _vb_update(x_factor, y, model, *point, x, it)
         except (TvBayesError, FloatingPointError) as err:
             if not extrapolated:
@@ -512,14 +516,15 @@ def vb_run(y: np.ndarray, model: ModelSpec,
     Scand. J. Stat. 2008) in cycles of three sweeps: two plain ones from
     theta0, then one at the point extrapolated from their outputs (see
     :func:`_squarem_point`), whose output is the next cycle's theta0. When
-    that point is not positive finite the sweep is not run, and when its
-    sweep raises a :class:`TvBayesError` or meets a float overflow, invalid
-    value or division by zero its result is thrown away; either way the
-    loop goes on from the second plain sweep's output. A typed error in any
-    other sweep propagates, naming that sweep of its stage as the
-    iteration. The loop stops after its sweep cap, or on a plain sweep whose
-    input is its previous sweep's output with a relative x change below its
-    tolerance, so never on its first sweep.
+    that point is not positive finite the sweep is not run; when its lambda
+    is outside ``LAMBDA_BOUNDS``, or its sweep raises a
+    :class:`TvBayesError` or meets a float overflow, invalid value or
+    division by zero, its result is thrown away; either way the loop goes on
+    from the second plain sweep's output. A typed error in any other sweep
+    propagates, naming that sweep of its stage as the iteration. The loop
+    stops after its sweep cap, or on a plain sweep whose input is its
+    previous sweep's output with a relative x change below its tolerance,
+    so never on its first sweep.
 
     The loop runs twice. Without ``opts.init`` a warm stage comes first,
     from the GCV start, to ``_WARM_TOL`` = 1e-2 or ``_WARM_MAXIT`` sweeps:
