@@ -194,7 +194,8 @@ def _cmd_simulate(args) -> int:
     blurred = BlurOperator(kernel, lattice).matvec(truth)
     noisy, noise_sigma = add_noise_bsnr(blurred, args.bsnr, rng)
 
-    outputs = {name: _write_field(args.out_prefix, name, lattice, vec)
+    ext = ".pgm" if lattice.k > 1 else ".csv"
+    outputs = {name: _write_field(args.out_prefix, name, lattice, vec, ext)
                for name, vec in (("truth", truth), ("blurred", blurred),
                                  ("noisy", noisy))}
 
@@ -240,14 +241,13 @@ def _load_field(path: str):
 
 
 def _write_field(prefix: str, tag: str, lattice: LatticeSpec,
-                 vec: np.ndarray) -> str:
-    """Write ``<prefix>_<tag>`` as a .pgm image on a 2-D lattice and as a
-    .csv signal on a 1-D one; returns the path."""
-    if lattice.k > 1:
-        path = _out_path(prefix, f"_{tag}.pgm")
+                 vec: np.ndarray, ext: str) -> str:
+    """Write ``<prefix>_<tag><ext>``, a .pgm image when ``ext`` is ".pgm"
+    and a .csv signal otherwise; returns the path."""
+    path = _out_path(prefix, f"_{tag}{ext}")
+    if ext == ".pgm":
         write_pgm(path, lattice.to_grid(vec))
     else:
-        path = _out_path(prefix, f"_{tag}.csv")
         write_signal_csv(path, vec)
     return path
 
@@ -356,8 +356,10 @@ def _cmd_deblur(args) -> int:
         iterations, converged = 0, True
         extra = {}
 
+    # in the input's format: a 1-row PGM gives a PGM
     outputs["estimate"] = _write_field(args.out_prefix, "estimate", lattice,
-                                       estimate)
+                                       estimate,
+                                       os.path.splitext(args.input)[1])
     wall_time_s = time.perf_counter() - t0
 
     run_metrics = None

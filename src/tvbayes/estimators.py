@@ -15,15 +15,16 @@
 * :func:`tikhonov_baseline` - plain quadratic smoothing for comparison.
 
 All engines and the baseline reject data y with a non-finite entry
-(:class:`NonFiniteError`, ``where="y"``), and the engines share one
-data-driven initialisation (:func:`initial_state`): x from the Tikhonov
-solution at the GCV-chosen weight, nu as the reciprocal mean squared
-residual there (not the mode of its conditional), latent scales at the
-mixing-prior mean and lambda at the mode of its conditional given those.
-IAS alone still starts x from the adjoint H'y of the data (see
-:func:`ias_run`). Each run forms H'y once; it is also the right-hand side
-of the x-systems. All three engines apply one divergence guard, to the
-starting lambda, after every lambda update and, in VB, to each
+(:class:`NonFiniteError`, ``where="y"``). The engines form and check
+their start in one function, :func:`_start`, which also rejects y'y = 0
+(``where="y'y"``): by default the data-driven :func:`initial_state`, x
+from the Tikhonov solution at the GCV-chosen weight, nu as the reciprocal
+mean squared residual there (not the mode of its conditional), latent
+scales at the mixing-prior mean and lambda at the mode of its conditional
+given those. IAS alone still starts x from the adjoint H'y of the data
+(see :func:`ias_run`). Each run forms H'y once; it is also the right-hand
+side of the x-systems. All three engines apply one divergence guard, to
+the starting lambda, after every lambda update and, in VB, to each
 extrapolated lambda: outside ``LAMBDA_BOUNDS`` they raise
 :class:`DivergenceError`.
 """
@@ -102,49 +103,41 @@ def initial_state(y: np.ndarray, model: ModelSpec) -> LatentState:
     generalized cross-validation score (``operators.gcv_delta``); latent
     scales at the mixing prior mean (mode when the mean diverges), nu0 = N /
     ||y - H x0||^2 (not the mode of the nu conditional) and lambda0 the mode
-    of the lambda conditional at (x0, r0)."""
-    y = model.lattice.check_vector(y, "y")
-    return _start_state(y, model.blur.rmatvec(y), model)
-
-
-def _start_state(y: np.ndarray, hty: np.ndarray, model: ModelSpec,
-                 hty_x0: bool = False) -> LatentState:
-    """:func:`initial_state` from checked data y and its H'y; with
-    ``hty_x0``, x0 is H'y itself (the array ``hty``), IAS's start until the
-    checks that rest on it move (see :func:`ias_run`)."""
-    blur, diff = model.blur, model.diff
-    x0 = hty if hty_x0 else tikhonov_solve(blur, diff,
-                                           gcv_delta(blur, diff, y), hty)
-    mix = model.prior.mixing
-    try:
-        r0 = gig_moment(mix, 1)
-    except MomentDivergesError:
-        r0 = gig_mode(mix)
-    if not (math.isfinite(r0) and r0 > 0):
-        r0 = 1.0
-    r = np.full(model.n_latents, r0)
-
-    resid2, dx2 = x_statistics(x0, y, model)
-    nu0 = model.n_pixels / max(resid2, 1e-12 * max(1.0, float(y @ y)))
-    cond = lambda_conditional(
-        float(np.sum(dx2 * row_weights_from_r(r, model))), model)
-    lam0 = cond.mode if cond.rate > 0 and cond.shape > 1 else 1.0
-    return LatentState(x=x0, nu=nu0, lam=lam0, r=r)
+    of the lambda conditional at (x0, r0); checked as :func:`_start` checks
+    every engine's start."""
+    return _start(y, model, None)[1]
 
 
 def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None,
            hty_x0: bool = False
            ) -> tuple[np.ndarray, LatentState, np.ndarray]:
-    """y checked, H'y formed once, and ``init`` (or the start of
-    :func:`initial_state`, from that H'y) checked. ``hty_x0`` starts from
-    x0 = H'y instead (see :func:`_start_state`); no engine writes to x0 or
-    H'y (PCG copies its start, and VB and Gibbs only read H'y)."""
+    """y checked (y'y = 0 raises), H'y formed once, and the start checked
+    (``validate`` and the lambda guard): ``init``, else the GCV start of
+    :func:`initial_state`, or x0 = H'y with ``hty_x0`` (IAS's, see
+    :func:`ias_run`). nu0's residual floor is relative to y'y, so the start
+    scales with the data. No engine writes to x0 or H'y (PCG copies its
+    start, and VB and Gibbs only read H'y)."""
     y = model.lattice.check_vector(y, "y")
+    yy = check_positive(float(y @ y), "y'y")
     hty = model.blur.rmatvec(y)
-    state = init if init is not None else _start_state(y, hty, model, hty_x0)
-    state.validate(model)
-    _check_lambda(state.lam, 0)
-    return y, state, hty
+    if init is None:
+        blur, diff, mix = model.blur, model.diff, model.prior.mixing
+        x0 = hty if hty_x0 else tikhonov_solve(blur, diff,
+                                               gcv_delta(blur, diff, y), hty)
+        try:
+            r0 = gig_moment(mix, 1)
+        except MomentDivergesError:
+            r0 = gig_mode(mix)
+        r = np.full(model.n_latents, r0)
+        resid2, dx2 = x_statistics(x0, y, model)
+        cond = lambda_conditional(
+            float(np.sum(dx2 * row_weights_from_r(r, model))), model)
+        init = LatentState(
+            x=x0, nu=model.n_pixels / max(resid2, 1e-12 * yy),
+            lam=cond.mode if cond.rate > 0 and cond.shape > 1 else 1.0, r=r)
+    init.validate(model)
+    _check_lambda(init.lam, 0)
+    return y, init, hty
 
 
 def _check_lambda(lam: float, iteration: int):
@@ -185,11 +178,10 @@ class IasOptions:
 
 
 @dataclass
-class IasState:
-    x: np.ndarray
-    nu: float
-    lam: float
-    r: np.ndarray
+class IasState(LatentState):
+    """The last sweep's (x, nu, lambda, r), which can start any engine as its
+    ``init``, and the run's record."""
+
     iterations: int
     converged: bool
     # one row per iteration: (log-posterior, relative x change, nu, lambda)
@@ -248,7 +240,9 @@ def ias_run(y: np.ndarray, model: ModelSpec,
     (a forcing term). Once a loose sweep's change is below ``tol`` every
     sweep is solved to ``pcg_tol``, and the run converges only on such a
     tight sweep with a change below ``tol``, after the first: that one's
-    change is from the start (0 if an ``init`` x solves its x-system).
+    change is from the start (0 if an ``init`` x solves its x-system). The
+    result is the last sweep's :class:`LatentState`, so it can be any
+    engine's ``init``.
     """
     opts = opts or IasOptions()
     if opts.maxit < 1 or not 0 < opts.tol < math.inf:

@@ -249,6 +249,18 @@ class TestDeblur:
         report = RunReport.from_json(out + "_report.json")
         assert report.metrics["psnr"] > 20
 
+    def test_one_row_pgm_gives_a_pgm_estimate(self, tmp_path):
+        # the estimate takes the input's format, whatever the lattice's
+        # row count
+        path = tmp_path / "row.pgm"
+        path.write_text("P2\n8 1\n255\n0 10 200 255 30 40 90 12\n")
+        out = str(tmp_path / "row")
+        code = run("deblur", "--input", str(path), "--method", "tikhonov",
+                   "--kernel-size", "3", "--out-prefix", out)
+        assert code == 0
+        assert read_pgm(out + "_estimate.pgm").shape == (1, 8)
+        assert not Path(out + "_estimate.csv").exists()
+
     def test_vb_capacity_exit_code(self, tmp_path):
         prefix = str(tmp_path / "big")
         run("simulate", "--kind", "shepp_logan", "--size", "200",
@@ -371,6 +383,18 @@ class TestDeblur:
                    "--kernel-size", "1", "--out-prefix", str(tmp_path / "tw"))
         assert code == 6
         assert not (tmp_path / "tw_report.json").exists()
+
+    @pytest.mark.parametrize("method", [
+        ["ias"], ["vb"], ["gibbs", "--samples", "50", "--seed", "1"]],
+        ids=["ias", "vb", "gibbs"])
+    def test_all_zero_input_exit_code(self, tmp_path, method):
+        # y'y = 0 leaves no data-driven start: every engine stops there
+        path = str(tmp_path / "zero.csv")
+        write_signal_csv(path, np.zeros(32))
+        code = run("deblur", "--input", path, "--method", *method,
+                   "--out-prefix", str(tmp_path / "z"))
+        assert code == 6
+        assert not (tmp_path / "z_report.json").exists()
 
     def test_divergence_exit_code(self, tmp_path):
         # near-constant data drives the penalty strength over the guard

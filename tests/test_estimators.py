@@ -214,6 +214,27 @@ class TestInitialState:
             np.testing.assert_array_equal(getattr(chain, name),
                                           getattr(want, name))
 
+    def test_ias_result_starts_any_engine(self):
+        # the IAS result is its last sweep's LatentState: as an init it
+        # starts VB and Gibbs as its latent_state() copy does, bit for bit,
+        # and neither engine writes to it
+        model, _, y = signal_problem()
+        res = ias_run(y, model)
+        assert isinstance(res, LatentState)
+        x, r = res.x.copy(), res.r.copy()
+        for run, names in (
+                (lambda init: vb_run(y, model, VbOptions(init=init)),
+                 ("x_mean", "x_var", "trace")),
+                (lambda init: gibbs_run(y, model, GibbsOptions(
+                    seed=3, samples=20, burn_in=5, init=init)),
+                 ("x_mean", "nu_trace", "lam_trace"))):
+            got, want = run(res), run(res.latent_state())
+            for name in names:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+        np.testing.assert_array_equal(res.x, x)
+        np.testing.assert_array_equal(res.r, r)
+
     def test_default_vb_run_solves_by_cg_in_warm_sweeps_only(self,
                                                             monkeypatch):
         # one CG solve per warm sweep, none in the dense sweeps, and one
@@ -367,6 +388,65 @@ class TestDataChecks:
         assert exc.value.where == "y"
         with pytest.raises(ValueError, match="y must have length 16"):
             call(y[:-1], model)
+
+
+    @pytest.mark.parametrize("engine", [*sorted(ENGINES), "initial_state"])
+    def test_all_zero_data_raise_at_the_start(self, engine):
+        # y'y = 0 leaves no data-driven start: nu0's residual floor is 0
+        model, _, y = signal_problem(n=16)
+        call = ENGINES.get(engine,
+                           lambda y, model, init: initial_state(y, model))
+        with pytest.raises(NonFiniteError) as exc:
+            call(np.zeros_like(y), model, None)
+        assert exc.value.where == "y'y" and exc.value.iteration is None
+
+
+def blocks16_problem():
+    """16 x 16 blocks42 under a 5 x 5 mask (sigma 1.25) at 40 dB, noise
+    seed 10: y'y = 33.9."""
+    lattice = LatticeSpec(16, 16)
+    model = ModelSpec.build(lattice, gaussian_kernel(5, 1.25),
+                            prior=LaplaceTV())
+    truth = lattice.to_stacked(make_image_2d("blocks42", 16))
+    y, _ = add_noise_bsnr(model.blur.matvec(truth), 40.0,
+                          np.random.default_rng(10))
+    return model, truth, y
+
+
+class TestScaleEquivariance:
+    """y -> c y scales x by c and nu and lambda by 1/c^2, with the same
+    sweep counts, at scales where the lambda guard does not act: neither
+    the start nor an engine has a unit of its own."""
+
+    # each engine's run, and its result as (x, nu, lambda, sweep counts)
+    RUNS = {
+        "ias": (lambda y, model: ias_run(y, model),
+                lambda res: (res.x, res.nu, res.lam, res.iterations)),
+        "vb": (lambda y, model: vb_run(y, model),
+               lambda res: (res.x_mean, res.nu_mean, res.lam_mean,
+                            (res.warm_sweeps, res.iterations))),
+        "gibbs": (lambda y, model: gibbs_run(y, model, GibbsOptions(
+                      seed=2, samples=40)),
+                  lambda res: (res.x_mean, res.nu_trace, res.lam_trace,
+                               res.n_sweeps)),
+    }
+
+    @pytest.mark.parametrize("engine, problem, c", [
+        *[(engine, "signal", c) for engine in ("ias", "vb", "gibbs")
+          for c in (1e-3, 1e3)],
+        # at c = 3e-5, y'y = 3.1e-8: a floor on nu0's residual that is not
+        # relative to y'y sets nu0 here
+        *[("vb", "blocks16", c) for c in (1e-3, 1e3, 3e-5)]])
+    def test_scaled_data_scale_the_result(self, engine, problem, c):
+        model, _, y = (signal_problem(n=64, seed=4) if problem == "signal"
+                       else blocks16_problem())
+        run, read = self.RUNS[engine]
+        x, nu, lam, counts = read(run(y, model))
+        x_c, nu_c, lam_c, counts_c = read(run(c * y, model))
+        assert counts_c == counts
+        assert np.linalg.norm(x_c / c - x) <= 1e-9 * np.linalg.norm(x)
+        np.testing.assert_allclose(np.multiply(nu_c, c * c), nu, rtol=1e-9)
+        np.testing.assert_allclose(np.multiply(lam_c, c * c), lam, rtol=1e-9)
 
 
 class TestIasUpdates:
