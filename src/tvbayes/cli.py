@@ -303,33 +303,25 @@ def _cmd_deblur(args) -> int:
     dropped = ("command", "sidecar", "truth", "out_prefix", "sigma")
     config = {k: v for k, v in vars(args).items() if k not in dropped}
     config.update(kernel_size=kernel_size, kernel_sigma=sigma)
-    outputs = {}
-
+    # each branch runs its engine and lists its CSV tables as (outputs key,
+    # file tag, header, rows); every file is written after the clock stops
+    tables, extra = [], {}
     t0 = time.perf_counter()
     if args.method == "ias":
         res = ias_run(y, model, IasOptions(tol=args.tol, maxit=args.maxit))
         estimate, nu, lam = res.x, res.nu, res.lam
         iterations, converged = res.iterations, res.converged
-        trace_path = _out_path(args.out_prefix, "_trace.csv")
-        write_table_csv(
-            trace_path,
-            ["iteration", "log_posterior", "rel_x_change", "nu", "lambda"],
-            [(i + 1, *row) for i, row in enumerate(res.trace)])
-        outputs["trace"] = trace_path
-        extra = {}
+        tables = [("trace", "trace", ["iteration", "log_posterior",
+                                      "rel_x_change", "nu", "lambda"],
+                   [(i + 1, *row) for i, row in enumerate(res.trace)])]
     elif args.method == "vb":
         res = vb_run(y, model, VbOptions(tol=args.tol, maxit=args.maxit))
         estimate, nu, lam = res.x_mean, res.nu_mean, res.lam_mean
         iterations, converged = res.iterations, res.converged
-        trace_path = _out_path(args.out_prefix, "_trace.csv")
-        write_table_csv(
-            trace_path, ["iteration", "rel_x_change", "nu_mean",
-                         "lambda_mean"],
-            [(i + 1, *row) for i, row in enumerate(res.trace)])
-        outputs["trace"] = trace_path
-        std_path = _out_path(args.out_prefix, "_std.csv")
-        write_signal_csv(std_path, res.x_std, header="posterior_std")
-        outputs["posterior_std"] = std_path
+        tables = [("trace", "trace", ["iteration", "rel_x_change", "nu_mean",
+                                      "lambda_mean"],
+                   [(i + 1, *row) for i, row in enumerate(res.trace)]),
+                  ("posterior_std", "std", ["posterior_std"], zip(res.x_std))]
         extra = {"nu_shape": res.nu_shape, "nu_rate": res.nu_rate,
                  "lambda_shape": res.lam_shape, "lambda_rate": res.lam_rate,
                  "warm_sweeps": res.warm_sweeps,
@@ -344,23 +336,23 @@ def _cmd_deblur(args) -> int:
         lam = float(np.mean(res.lam_trace[res.burn_in:]))
         # the chain runs no convergence test, so none is reported
         iterations, converged = res.n_sweeps, None
-        for tag, tr in (("nu_trace", res.nu_trace),
-                        ("lambda_trace", res.lam_trace)):
-            path = _out_path(args.out_prefix, f"_{tag}.csv")
-            write_signal_csv(path, tr, header=tag)
-            outputs[tag] = path
+        tables = [(tag, tag, [tag], zip(tr)) for tag, tr in (
+            ("nu_trace", res.nu_trace), ("lambda_trace", res.lam_trace))]
         extra = {"burn_in": res.burn_in, "kept_samples": res.samples}
     else:  # tikhonov
         estimate = tikhonov_baseline(y, model.blur, model.diff, args.delta)
         nu = lam = None
         iterations, converged = 0, True
-        extra = {}
+    wall_time_s = time.perf_counter() - t0
 
+    outputs = {}
+    for key, tag, header, rows in tables:
+        outputs[key] = _out_path(args.out_prefix, f"_{tag}.csv")
+        write_table_csv(outputs[key], header, rows)
     # in the input's format: a 1-row PGM gives a PGM
     outputs["estimate"] = _write_field(args.out_prefix, "estimate", lattice,
                                        estimate,
                                        os.path.splitext(args.input)[1])
-    wall_time_s = time.perf_counter() - t0
 
     run_metrics = None
     if truth is not None:

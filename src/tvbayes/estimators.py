@@ -21,7 +21,8 @@ their start in one function, :func:`_start`, which also rejects y'y = 0
 from the Tikhonov solution at the GCV-chosen weight, nu as the reciprocal
 mean squared residual there (not the mode of its conditional), latent
 scales at the mixing-prior mean and lambda at the mode of its conditional
-given those. IAS alone still starts x from the adjoint H'y of the data
+given those; a conditional with no mode, as constant data give, raises
+(``where="lambda"``, iteration 0). IAS alone still starts x from the adjoint H'y of the data
 (see :func:`ias_run`). Each run forms H'y once; it is also the right-hand
 side of the x-systems. All three engines apply one divergence guard, to
 the starting lambda, after every lambda update and, in VB, to each
@@ -112,7 +113,8 @@ def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None,
            hty_x0: bool = False
            ) -> tuple[np.ndarray, LatentState, np.ndarray]:
     """y checked (y'y = 0 raises), H'y formed once, and the start checked
-    (``validate`` and the lambda guard): ``init``, else the GCV start of
+    (``validate`` and the lambda guard; lambda0 with no mode raises):
+    ``init``, else the GCV start of
     :func:`initial_state`, or x0 = H'y with ``hty_x0`` (IAS's, see
     :func:`ias_run`). nu0's residual floor is relative to y'y, so the start
     scales with the data. No engine writes to x0 or H'y (PCG copies its
@@ -134,7 +136,7 @@ def _start(y: np.ndarray, model: ModelSpec, init: LatentState | None,
             float(np.sum(dx2 * row_weights_from_r(r, model))), model)
         init = LatentState(
             x=x0, nu=model.n_pixels / max(resid2, 1e-12 * yy),
-            lam=cond.mode if cond.rate > 0 and cond.shape > 1 else 1.0, r=r)
+            lam=_gamma_mode(cond, "lambda", 0), r=r)
     init.validate(model)
     _check_lambda(init.lam, 0)
     return y, init, hty

@@ -341,8 +341,6 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     if not (sigma > 0 and 0 < sigma * sigma < math.inf):
         raise ValueError(f"kernel sigma must be > 0 with a finite nonzero "
                          f"square, got {sigma}")
-    if size == 1:
-        return np.ones((1, 1))
     c = size // 2
     u = np.arange(-c, c + 1, dtype=float)
     g = np.exp(-0.5 * (u[:, None] ** 2 + u[None, :] ** 2) / sigma ** 2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from tvbayes.harness import (
     read_signal_csv,
     read_table_csv,
     write_signal_csv,
+    write_table_csv,
 )
 
 
@@ -395,6 +397,33 @@ class TestDeblur:
                    "--out-prefix", str(tmp_path / "z"))
         assert code == 6
         assert not (tmp_path / "z_report.json").exists()
+
+    @pytest.mark.parametrize("method", [
+        ["ias"], ["vb"], ["gibbs", "--samples", "50", "--seed", "1"]],
+        ids=["ias", "vb", "gibbs"])
+    def test_constant_input_exit_code(self, tmp_path, method):
+        # constant data give a constant start, so lambda's conditional has
+        # rate 0 and no mode: every engine stops at the start
+        path = str(tmp_path / "const.csv")
+        write_signal_csv(path, np.full(8, 0.5))
+        code = run("deblur", "--input", path, "--method", *method,
+                   "--out-prefix", str(tmp_path / "c"))
+        assert code == 6
+        assert not (tmp_path / "c_report.json").exists()
+
+    def test_wall_time_leaves_out_file_writes(self, problem, tmp_path,
+                                              monkeypatch):
+        def slow_write(*args):
+            time.sleep(0.5)
+            write_table_csv(*args)
+
+        monkeypatch.setattr(cli, "write_table_csv", slow_write)
+        out = str(tmp_path / "slow")
+        assert run("deblur", "--input", problem + "_noisy.csv", "--method",
+                   "ias", "--sidecar", problem + "_sim.json",
+                   "--out-prefix", out) == 0
+        assert RunReport.from_json(out + "_report.json").wall_time_s < 0.5
+        assert read_table_csv(out + "_trace.csv")[0][0] == "iteration"
 
     def test_divergence_exit_code(self, tmp_path):
         # near-constant data drives the penalty strength over the guard

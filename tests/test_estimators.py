@@ -400,6 +400,25 @@ class TestDataChecks:
             call(np.zeros_like(y), model, None)
         assert exc.value.where == "y'y" and exc.value.iteration is None
 
+    @pytest.mark.parametrize("engine", [*sorted(ENGINES), "initial_state"])
+    def test_constant_data_raise_at_the_start(self, engine):
+        # a constant x0 has no differences: lambda's conditional has rate 0
+        # under the default hyperprior, so it has no mode
+        model, _, y = signal_problem(n=16)
+        call = ENGINES.get(engine,
+                           lambda y, model, init: initial_state(y, model))
+        with pytest.raises(NonFiniteError) as exc:
+            call(np.full_like(y, 0.5), model, None)
+        assert (exc.value.where, exc.value.iteration) == ("lambda", 0)
+
+    def test_two_point_signal_raises_at_the_start(self):
+        # under the improper lambda prior two points give lambda's
+        # conditional shape M/2 = 1, so it has no mode
+        model = ModelSpec.build(LatticeSpec(1, 2), gaussian_kernel(1, 0.25))
+        with pytest.raises(NonFiniteError, match="needs shape > 1") as exc:
+            initial_state(np.array([0.2, 0.9]), model)
+        assert (exc.value.where, exc.value.iteration) == ("lambda", 0)
+
 
 def blocks16_problem():
     """16 x 16 blocks42 under a 5 x 5 mask (sigma 1.25) at 40 dB, noise
@@ -1361,9 +1380,11 @@ class TestPositiveChecks:
         assert (exc.value.where, exc.value.iteration) == ("e_inv_r", 1)
 
     def test_ias_nu_mode_needs_shape_above_one(self):
-        # two pixels: under the improper hyperprior nu's gamma conditional
-        # has shape N/2 = 1, so it has no positive finite mode
-        model = ModelSpec.build(LatticeSpec(1, 2), gaussian_kernel(1, 0.25))
+        # two pixels: under the improper nu hyperprior nu's gamma
+        # conditional has shape N/2 = 1, so it has no positive finite mode;
+        # alpha_lambda = 1 gives lambda's shape 2, so the start has a mode
+        model = ModelSpec.build(LatticeSpec(1, 2), gaussian_kernel(1, 0.25),
+                                hyper=HyperParams(alpha_lambda=1.0))
         with pytest.raises(NonFiniteError, match="needs shape > 1") as exc:
             ias_run(np.array([0.2, 0.9]), model)
         assert (exc.value.where, exc.value.iteration) == ("nu", 1)

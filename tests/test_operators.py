@@ -281,7 +281,9 @@ class TestDiffOperator:
 
 class TestGaussianKernel:
     def test_identity(self):
-        np.testing.assert_array_equal(gaussian_kernel(1, 1.0), [[1.0]])
+        # the general formula: exp(-0) = 1, normalised by 1, at any sigma
+        for sigma in (1e-100, 0.1, 1.0, 1e100):
+            np.testing.assert_array_equal(gaussian_kernel(1, sigma), [[1.0]])
 
     def test_normalised_and_symmetric(self):
         w = gaussian_kernel(7, 1.75)
